@@ -26,7 +26,7 @@ from .errors import (
     PartialSampleWarning,
     UnsupportedPriorError,
 )
-from .estimate import estimate_manifold, point_estimate, reduce_from_estimates
+from .estimate import estimate_manifold, point_estimate
 from .experiment import (
     CurveRecord,
     ExperimentResult,
@@ -48,7 +48,7 @@ from .geometry import (
     project,
 )
 from .greedy import GreedyResult, StoppingRule, greedy
-from .rng import derived_rng
+from .rng import derived_rng, derived_seed
 from .sampling import (
     EllipsoidSlice,
     MultiSliceResult,
@@ -62,7 +62,7 @@ from .sampling import (
     sample_slice_multi,
     union_set_contains,
 )
-from .thermal import ThermalBlockModel, solve_thermal_block
+from .thermal import ThermalBlockModel
 from .worlds import (
     SyntheticWorld,
     ThermalWorld,

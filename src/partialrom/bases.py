@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractViolation, InfeasibleGeometry
-from .geometry import Subspace, _mgs, as_vector
+from .geometry import Subspace, as_vector
 
 
 class SuitableBases:
@@ -95,18 +95,12 @@ class SuitableBases:
     def u_basis(self) -> np.ndarray:
         """ONB of W⊥ ∩ V⊥, built on first access.
 
-        Canonical basis vectors are orthonormalized (in index order) against
-        the complement blocks; the first r independent residuals are kept.
+        The trailing columns of a complete QR of :attr:`complement_onb` span
+        its orthogonal complement; there are exactly N - (m + n - p) = r.
         """
         if self._u_basis is None:
-            n_amb = self.ambient_dim
             comp = self.complement_onb
-            u = _mgs(np.eye(n_amb), base=comp)
-            if u.shape[1] != self.r:
-                raise InfeasibleGeometry(
-                    f"residual block has dimension {u.shape[1]}, expected r = {self.r}"
-                )
-            self._u_basis = u
+            self._u_basis = np.linalg.qr(comp, mode="complete")[0][:, comp.shape[1]:]
         return self._u_basis
 
     def w_star_coefficients(self, obs_values: np.ndarray) -> np.ndarray:
@@ -115,6 +109,17 @@ class SuitableBases:
         if obs.shape != (self.m,):
             raise ContractViolation(f"expected {self.m} observation values, got shape {obs.shape}")
         return self.w_rotation.T @ obs
+
+    def slice_centers(self, a_star: np.ndarray) -> np.ndarray:
+        """Slice centers for rows of w*-coefficients: (count, m) -> (count, N).
+
+        Row i is ``sum_{j<=q} a_ij / sigma_j v*_j + sum_{j>q} a_ij w*_j``.
+        """
+        q = self.q
+        centers = (a_star[:, :q] / self.sigma[:q]) @ self.v_star[:, :q].T
+        if self.m > q:
+            centers = centers + a_star[:, q:] @ self.w_star[:, q:].T
+        return centers
 
 
 def compute_suitable_bases(

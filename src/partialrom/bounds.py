@@ -88,8 +88,8 @@ def posterior_width_bounds(
         raise ContractViolation(f"need 0 <= p <= q <= min(m, n), got p={p}, q={q}, m={m}, n={n}")
     if k < 0 or n < 1 or m < 1:
         raise ContractViolation("k must be >= 0 and m, n >= 1")
-    if eps < 0 or eps_prime < 0:
-        raise ContractViolation("widths must be >= 0")
+    if not (math.isfinite(eps) and math.isfinite(eps_prime)) or eps < 0 or eps_prime < 0:
+        raise ContractViolation(f"widths must be finite and >= 0, got {eps}, {eps_prime}")
     if sigma.shape[0] < q:
         raise ContractViolation(f"sigma has {sigma.shape[0]} entries but q = {q}")
     if i_max is None:

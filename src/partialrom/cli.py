@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from .bounds import format_extended, posterior_width_bounds
 from .errors import ConfigError, ContractViolation, EmptySliceError, InfeasibleGeometry
 from .experiment import RunConfig, run_experiment, thermal_defaults, synthetic_defaults
 from .geometry import SnapshotSet
-from .rng import derived_rng
+from .rng import derived_rng, derived_seed
 from .sampling import PiDistribution, sample_posterior
 
 EXIT_OK = 0
@@ -108,6 +109,9 @@ def _parse_sigma(args: argparse.Namespace) -> np.ndarray:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    for flag, value in (("--eps", args.eps), ("--eps-prime", args.eps_prime)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value}")
     sigma = _parse_sigma(args)
     p = int(np.sum(sigma >= 1.0 - 1e-8))
     q = int(np.sum(sigma > 1e-10))
@@ -171,7 +175,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         cfg.per_point,
         pi_dist=PiDistribution.from_name(cfg.pi),
         d_box=cfg.d_box,
-        seed=_sample_seed(cfg.seed),
+        seed=derived_seed(cfg.seed, 41),
         max_draws_per_point=cfg.max_draw_factor * cfg.per_point,
     )
     out = Path(args.out)
@@ -183,10 +187,6 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     out.write_text("\n".join(lines) + "\n")
     print(f"wrote {out} ({len(samples)} samples, ambient dimension {samples.ambient_dim})")
     return EXIT_OK
-
-
-def _sample_seed(seed: int) -> int:
-    return int(np.random.SeedSequence(entropy=seed, spawn_key=(41,)).generate_state(1, np.uint64)[0])
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:

@@ -13,10 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from .bases import SuitableBases, compute_suitable_bases
-from .errors import ContractViolation, UnsupportedPriorError
+from .errors import UnsupportedPriorError
 from .geometry import DegenerateEllipsoid, PriorManifold, SnapshotSet, Subspace
-from .greedy import GreedyResult, StoppingRule, greedy
-from .sampling import Observation, observe_cloud
+from .sampling import Observation, build_slice, observe_cloud
 
 
 def _single_factor(prior: PriorManifold | DegenerateEllipsoid) -> DegenerateEllipsoid:
@@ -35,17 +34,7 @@ def point_estimate(
     bases: SuitableBases,
 ) -> np.ndarray:
     """Slice center for ``obs`` under a single-ellipsoid prior."""
-    factor = _single_factor(prior)
-    if bases.v_subspace is not factor.subspace and not np.array_equal(
-        bases.v_subspace.basis, factor.subspace.basis
-    ):
-        raise ContractViolation("bases were not computed from the prior subspace")
-    a_star = bases.w_star_coefficients(obs.values)
-    q = bases.q
-    est = bases.v_star[:, :q] @ (a_star[:q] / bases.sigma[:q])
-    if bases.m > q:
-        est = est + bases.w_star[:, q:] @ a_star[q:]
-    return est
+    return build_slice(obs, _single_factor(prior), bases).center
 
 
 def estimate_manifold(
@@ -59,14 +48,4 @@ def estimate_manifold(
     if bases is None:
         bases = compute_suitable_bases(factor.subspace, w_subspace)
     obs_matrix = observe_cloud(manifold_samples, w_subspace)      # (count, m)
-    a_star = obs_matrix @ bases.w_rotation                        # rows <w*_j, h_i>
-    q = bases.q
-    estimates = (a_star[:, :q] / bases.sigma[:q]) @ bases.v_star[:, :q].T
-    if bases.m > q:
-        estimates = estimates + a_star[:, q:] @ bases.w_star[:, q:].T
-    return SnapshotSet(estimates)
-
-
-def reduce_from_estimates(estimates: SnapshotSet, stop: StoppingRule) -> GreedyResult:
-    """Greedy reduction of the estimate manifold."""
-    return greedy(estimates, stop)
+    return SnapshotSet(bases.slice_centers(obs_matrix @ bases.w_rotation))

@@ -23,7 +23,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,7 +38,7 @@ from .errors import ConfigError
 from .estimate import estimate_manifold
 from .geometry import PriorManifold, SnapshotSet, Subspace, prefix_widths
 from .greedy import GreedyResult, StoppingRule, greedy
-from .rng import derived_rng
+from .rng import derived_rng, derived_seed
 from .sampling import PiDistribution, sample_posterior
 from .thermal import ThermalBlockModel
 from .worlds import (
@@ -68,7 +67,7 @@ class RunConfig:
     j_star: int = 0            # 0 = last factor
     max_draw_factor: int = 100
     k_intrinsic: int = 0       # 0 = setup default (4 thermal, k_hat synthetic)
-    jobs: int = 0              # 0 = auto
+    jobs: int = 0              # ignored (reps run serially); kept so manifests that set it load
     # thermal world
     cells: int = 24
     theta_min: float = 0.1
@@ -86,6 +85,10 @@ class RunConfig:
     n_points: int = 150
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.setup not in (1, 2):
             raise ConfigError(f"setup must be 1 or 2, got {self.setup}")
         for name in ("reps", "i_max", "per_point", "m", "n", "n_factors", "max_draw_factor"):
@@ -147,7 +150,7 @@ class RunConfig:
                     coerced[f.name] = float(raw)
                 else:
                     coerced[f.name] = str(raw)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"bad value for {f.name}: {raw!r}") from exc
         return cls(**coerced)
 
@@ -155,7 +158,7 @@ class RunConfig:
     def from_config_file(cls, path: str | Path, overrides: dict | None = None) -> "RunConfig":
         """Parse a flat ``key = value`` text file; later CLI overrides win."""
         data: dict = {}
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
                 continue
@@ -169,10 +172,20 @@ class RunConfig:
 
     @classmethod
     def from_manifest(cls, path: str | Path) -> "RunConfig":
-        manifest = json.loads(Path(path).read_text())
-        if "config" not in manifest:
-            raise ConfigError(f"{path} has no 'config' section")
+        try:
+            manifest = json.loads(_read_text(path))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+        if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
+            raise ConfigError(f"{path} has no 'config' object")
         return cls.from_dict(manifest["config"])
+
+
+def _read_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
 def thermal_defaults(**overrides) -> RunConfig:
@@ -214,10 +227,6 @@ class WorldBundle:
     bases_single: SuitableBases
 
 
-def _derived_seed(master: int, *path: int) -> int:
-    return int(np.random.SeedSequence(entropy=master, spawn_key=path).generate_state(1, np.uint64)[0])
-
-
 def nested_width_curve_from_greedy(
     gr: GreedyResult, cloud: SnapshotSet, i_max: int
 ) -> list[float]:
@@ -230,7 +239,7 @@ def nested_width_curve_from_greedy(
     curve = [float(np.sqrt(sq_norms.max()))]
     d = min(gr.terminal_dim, i_max)
     if d:
-        per_dim = prefix_widths(cloud.vectors, gr.subspace(d).basis)
+        per_dim = prefix_widths(cloud.vectors, gr.basis[:, :d])
         curve.extend(float(x) for x in per_dim)
     while len(curve) <= i_max:
         curve.append(curve[-1])
@@ -327,7 +336,7 @@ def _curve_records(method: str, rep: int, target: str, values) -> list[CurveReco
     return [CurveRecord(method, rep, i, target, float(v)) for i, v in enumerate(values)]
 
 
-def _rep_worker(
+def _run_rep(
     cfg: RunConfig,
     bundle: WorldBundle,
     rep: int,
@@ -347,7 +356,7 @@ def _rep_worker(
         cfg.per_point,
         pi_dist=pi,
         d_box=cfg.d_box,
-        seed=_derived_seed(cfg.seed, 21, rep),
+        seed=derived_seed(cfg.seed, 21, rep),
     )
     gr_single = greedy(single_cloud, stop)
     records += _curve_records(
@@ -373,7 +382,7 @@ def _rep_worker(
             cfg.per_point,
             pi_dist=pi,
             d_box=cfg.d_box,
-            seed=_derived_seed(cfg.seed, 22, rep),
+            seed=derived_seed(cfg.seed, 22, rep),
             j_star=j_star,
             max_draws_per_point=cfg.max_draw_factor * cfg.per_point,
         )
@@ -437,24 +446,11 @@ def run_experiment(cfg: RunConfig) -> ExperimentResult:
     records += _curve_records("bound_dbar", 0, "bound", bound.d_bar)
     records += _curve_records("bound_dbarbar", 0, "bound", bound.d_bbar)
 
-    # Per-repetition posterior work (independent derived streams; safe to thread).
-    jobs = cfg.jobs or min(4, cfg.reps)
-    rep_infos: list[dict] = [{} for _ in range(cfg.reps)]
-    if jobs > 1 and cfg.reps > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_rep_worker, cfg, bundle, rep, gr_perf, gr_point)
-                for rep in range(cfg.reps)
-            ]
-            for rep, fut in enumerate(futures):
-                rep_records, info = fut.result()
-                records += rep_records
-                rep_infos[rep] = info
-    else:
-        for rep in range(cfg.reps):
-            rep_records, info = _rep_worker(cfg, bundle, rep, gr_perf, gr_point)
-            records += rep_records
-            rep_infos[rep] = info
+    rep_infos: list[dict] = []
+    for rep in range(cfg.reps):
+        rep_records, info = _run_rep(cfg, bundle, rep, gr_perf, gr_point)
+        records += rep_records
+        rep_infos.append(info)
 
     records.sort(key=lambda r: (r.method, r.target, r.rep, r.i))
     manifest = _build_manifest(cfg, bundle, records, rep_infos)

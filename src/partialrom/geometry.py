@@ -102,11 +102,6 @@ class Subspace:
     def zero(cls, ambient_dim: int) -> "Subspace":
         return cls(np.zeros((ambient_dim, 0)))
 
-    @classmethod
-    def from_vectors(cls, vectors, ambient_dim: int | None = None) -> "Subspace":
-        """Span of the given vectors (rows of a matrix or a list of 1-D arrays)."""
-        return orthonormalize(vectors, ambient_dim=ambient_dim)
-
     def contains(self, h, tol: float = 1e-10) -> bool:
         return dist(h, self) <= tol * (1.0 + float(np.linalg.norm(h)))
 

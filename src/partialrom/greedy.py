@@ -39,29 +39,28 @@ class StoppingRule:
 class GreedyResult:
     """Nested spaces S_1 ⊂ S_2 ⊂ ..., selected snapshot indices, and error curve.
 
-    ``error_curve[t-1]`` is the worst-case distance of the cloud to S_t, so the
-    curve has one entry per completed iteration.
+    ``basis`` is the (N, terminal_dim) orthonormal greedy basis; S_t is the
+    span of its first t columns.  ``error_curve[t-1]`` is the worst-case
+    distance of the cloud to S_t, so the curve has one entry per completed
+    iteration.
     """
 
-    nested_subspaces: tuple[Subspace, ...]
+    basis: np.ndarray
     selected_indices: tuple[int, ...]
     error_curve: tuple[float, ...]
 
     @property
     def terminal_dim(self) -> int:
-        return len(self.nested_subspaces)
+        return self.basis.shape[1]
 
     def subspace(self, dim: int) -> Subspace:
         """The dim-th nested space; dim 0 is the zero subspace, larger than
         terminal returns the terminal space."""
         if dim < 0:
             raise ContractViolation(f"dimension must be >= 0, got {dim}")
-        if dim == 0:
-            if self.nested_subspaces:
-                return Subspace.zero(self.nested_subspaces[0].ambient_dim)
-            raise ContractViolation("empty greedy result has no ambient dimension")
-        idx = min(dim, self.terminal_dim)
-        return self.nested_subspaces[idx - 1]
+        if self.terminal_dim == 0:
+            raise ContractViolation("empty greedy result has no nested spaces")
+        return Subspace(self.basis[:, : min(dim, self.terminal_dim)])
 
 
 def greedy(snapshots: SnapshotSet, stop: StoppingRule) -> GreedyResult:
@@ -73,7 +72,6 @@ def greedy(snapshots: SnapshotSet, stop: StoppingRule) -> GreedyResult:
 
     sq_dist = np.einsum("ij,ij->i", vectors, vectors).copy()
     basis_cols: list[np.ndarray] = []
-    subspaces: list[Subspace] = []
     indices: list[int] = []
     errors: list[float] = []
 
@@ -97,19 +95,19 @@ def greedy(snapshots: SnapshotSet, stop: StoppingRule) -> GreedyResult:
         proj = vectors @ u_new
         sq_dist = np.maximum(sq_dist - proj**2, 0.0)
         errors.append(float(np.sqrt(sq_dist.max())))
-        subspaces.append(Subspace(np.column_stack(basis_cols)))
         if stop.tol is not None and errors[-1] <= stop.tol:
             break
 
+    basis = np.column_stack(basis_cols) if basis_cols else np.zeros((n_amb, 0))
+    basis.setflags(write=False)
     if basis_cols:
         # The incremental distances steer selection but bottom out at the
         # cancellation level sqrt(eps_machine) * ||h||; re-derive the recorded
         # curve from exact terminal residuals so tiny widths are trustworthy.
-        accurate = prefix_widths(vectors, np.column_stack(basis_cols))
-        errors = [float(x) for x in accurate]
+        errors = [float(x) for x in prefix_widths(vectors, basis)]
 
     return GreedyResult(
-        nested_subspaces=tuple(subspaces),
+        basis=basis,
         selected_indices=tuple(indices),
         error_curve=tuple(errors),
     )

@@ -17,8 +17,16 @@ def derived_rng(seed: int, *path: int) -> np.random.Generator:
     The same (seed, path) always yields the same stream; distinct paths give
     statistically independent streams.
     """
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.Philox(_seed_sequence(seed, path)))
+
+
+def derived_seed(seed: int, *path: int) -> int:
+    """A 64-bit integer seed for stream ``path`` under the master ``seed``."""
+    return int(_seed_sequence(seed, path).generate_state(1, np.uint64)[0])
+
+
+def _seed_sequence(seed: int, path: tuple) -> np.random.SeedSequence:
+    return np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
 
 
 def as_rng(rng_or_seed: int | np.random.Generator) -> np.random.Generator:

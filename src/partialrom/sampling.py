@@ -156,11 +156,8 @@ def build_slice(obs: Observation, prior: DegenerateEllipsoid, bases: SuitableBas
     ):
         raise ContractViolation("bases were not computed from the prior subspace")
     a_star = bases.w_star_coefficients(obs.values)
-    q = bases.q
-    center = bases.v_star[:, :q] @ (a_star[:q] / bases.sigma[:q])
-    if bases.m > q:
-        center = center + bases.w_star[:, q:] @ a_star[q:]
-    budget = float(prior.width**2 - np.sum(a_star[q:] ** 2))
+    center = bases.slice_centers(a_star[None, :])[0]
+    budget = float(prior.width**2 - np.sum(a_star[bases.q:] ** 2))
     return EllipsoidSlice(
         center=center,
         bases=bases,

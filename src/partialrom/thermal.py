@@ -119,11 +119,6 @@ class ThermalBlockModel:
             self.mass_chol.T, as_vector(coords, self.ambient_dim), lower=False
         )
 
-    def apply_stiffness_ambient(self, theta, coords) -> np.ndarray:
-        """The stiffness operator conjugated into ambient coordinates."""
-        nodal = self.from_ambient(coords)
-        return solve_triangular(self.mass_chol, self.stiffness(theta) @ nodal, lower=True)
-
     def solve(self, theta, flux: float = 0.0, source_coeffs=None) -> np.ndarray:
         """Solve the diffusion problem and return the state in ambient coordinates.
 
@@ -139,8 +134,3 @@ class ThermalBlockModel:
             rhs += self.mass_chol @ as_vector(source_coeffs, self.ambient_dim)
         nodal = np.linalg.solve(self.stiffness(t), rhs)
         return self.to_ambient(nodal)
-
-
-def solve_thermal_block(model: ThermalBlockModel, theta, flux: float = 0.0, source_coeffs=None):
-    """Functional wrapper around :meth:`ThermalBlockModel.solve`."""
-    return model.solve(theta, flux=flux, source_coeffs=source_coeffs)

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from conftest import random_orthonormal, random_subspace_pair
 from partialrom.bases import compute_suitable_bases, decompose
 from partialrom.errors import ContractViolation, InfeasibleGeometry
-from partialrom.geometry import Subspace
+from partialrom.geometry import Subspace, orthonormalize
 from partialrom.rng import derived_rng
 
 
@@ -111,7 +111,7 @@ class TestRankCounts:
         mixer = random_orthonormal(rng, 15, 4)
         mixer -= base[:, 3:4] @ (base[:, 3:4].T @ mixer)  # nothing along base[:,3]
         v_cols = np.hstack([mixer[:, :2], base[:, 3:4]])
-        v = Subspace.from_vectors(v_cols.T)
+        v = orthonormalize(v_cols.T)
         sb = compute_suitable_bases(v, w)
         gram = w.basis.T @ v.basis
         assert sb.q == np.linalg.matrix_rank(gram, tol=1e-8)

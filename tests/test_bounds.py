@@ -132,6 +132,13 @@ class TestPosteriorWidthBounds:
         with pytest.raises(ContractViolation):
             posterior_width_bounds(2, 2, 10, 0.1, 0.1, np.array([1.0]), p=0, q=2, m=2)
 
+    @pytest.mark.parametrize(
+        "eps, eps_prime", [(math.nan, 0.1), (0.1, math.nan), (math.inf, 0.1), (0.1, math.inf)]
+    )
+    def test_non_finite_widths_rejected(self, eps, eps_prime):
+        with pytest.raises(ContractViolation):
+            posterior_width_bounds(2, 2, 10, eps, eps_prime, np.array([1.0, 0.5]), p=0, q=2, m=2)
+
 
 class TestProofSubspace:
     def make_bases(self, rng, n_amb=16, m=6, n=5, t_dim=2):

@@ -107,6 +107,14 @@ class TestBounds:
         bad_range = self.BASE[: -1] + ["1,0.5,-0.1"]
         assert main(bad_range) == 2
 
+    @pytest.mark.parametrize("flag", ["--eps", "--eps-prime"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_width_exits_2(self, flag, value, capsys):
+        args = list(self.BASE)
+        args[args.index(flag) + 1] = value
+        assert main(args) == 2
+        assert flag in capsys.readouterr().err
+
     def test_invalid_geometry_exits_numerical(self, capsys):
         args = [
             "bounds", "--k", "-1", "--n", "3", "--m", "3", "--ambient", "10",
@@ -189,6 +197,45 @@ class TestRunCommands:
     def test_invalid_config_exits_2(self, tmp_path):
         # reps = 0 fails validation inside run_experiment.
         assert main(tiny_setup2_args(tmp_path / "x") + ["--reps", "0"]) == 2
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("setup2", "--d-box", "nan"),
+            ("setup1", "--theta-min", "nan"),
+            ("setup1", "--theta-step", "nan"),
+            ("setup1", "--flux", "nan"),
+            ("setup2", "--eps-main", "nan"),
+            ("setup2", "--eps-perturb", "nan"),
+            ("setup2", "--eps-main", "inf"),
+        ],
+    )
+    def test_non_finite_config_value_exits_2(self, tmp_path, capsys, command, flag, value):
+        assert main([command, "--out", str(tmp_path / "x"), flag, value]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "option, content",
+        [
+            ("--config", None),
+            ("--config", b"seed = 1\n\xff\n"),
+            ("--from-manifest", None),
+            ("--from-manifest", b"not json"),
+            ("--from-manifest", b'{"config": 5}'),
+            ("--from-manifest", b"5"),
+            ("--from-manifest", b'{"config": {"reps": 1e400}}'),
+        ],
+        ids=[
+            "config-missing", "config-not-utf8", "manifest-missing", "manifest-not-json",
+            "manifest-config-number", "manifest-number", "manifest-int-overflow",
+        ],
+    )
+    def test_unreadable_or_malformed_file_exits_2(self, tmp_path, capsys, option, content):
+        path = tmp_path / "input"
+        if content is not None:
+            path.write_bytes(content)
+        assert main(["setup2", "--out", str(tmp_path / "x"), option, str(path)]) == 2
+        assert "configuration error" in capsys.readouterr().err
 
     def test_starved_multi_prior_exits_3(self, tmp_path, capsys):
         args = [

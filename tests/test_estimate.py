@@ -7,14 +7,14 @@ from numpy.testing import assert_allclose
 from conftest import random_orthonormal, random_subspace_pair
 from partialrom.bases import compute_suitable_bases
 from partialrom.errors import ContractViolation, UnsupportedPriorError
-from partialrom.estimate import estimate_manifold, point_estimate, reduce_from_estimates
+from partialrom.estimate import estimate_manifold, point_estimate
 from partialrom.geometry import (
     DegenerateEllipsoid,
     PriorManifold,
     SnapshotSet,
     Subspace,
 )
-from partialrom.greedy import StoppingRule
+from partialrom.greedy import StoppingRule, greedy
 from partialrom.sampling import Observation, build_slice, observe
 
 
@@ -120,7 +120,7 @@ class TestReduceFromEstimates:
         sb = compute_suitable_bases(v, w)
         states = SnapshotSet((v.basis @ rng.standard_normal((4, 30))).T)
         ests = estimate_manifold(states, w, DegenerateEllipsoid(v, 1.0), bases=sb)
-        res = reduce_from_estimates(ests, StoppingRule(tol=1e-10))
+        res = greedy(ests, StoppingRule(tol=1e-10))
         assert res.terminal_dim == 4
         assert res.error_curve[-1] <= 1e-10
         for col in res.subspace(4).basis.T:

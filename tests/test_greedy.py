@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from partialrom.errors import ContractViolation
-from partialrom.geometry import SnapshotSet, Subspace, dist
+from partialrom.geometry import SnapshotSet, dist, orthonormalize
 from partialrom.greedy import GreedyResult, StoppingRule, greedy
 from partialrom.rng import derived_rng
 
@@ -29,10 +29,11 @@ class TestToyExample:
 
     def test_nested_subspaces_grow_by_one(self):
         res = greedy(toy_cloud(), StoppingRule())
-        for t, sub in enumerate(res.nested_subspaces, start=1):
+        nested = [res.subspace(t) for t in range(1, res.terminal_dim + 1)]
+        for t, sub in enumerate(nested, start=1):
             assert sub.dim == t
         # Nesting: every basis of S_t is contained in S_{t+1}.
-        for a, b in zip(res.nested_subspaces, res.nested_subspaces[1:]):
+        for a, b in zip(nested, nested[1:]):
             for col in a.basis.T:
                 assert b.contains(col)
 
@@ -49,7 +50,8 @@ class TestToyExample:
     def test_error_curve_matches_true_worst_distance(self):
         cloud = toy_cloud()
         res = greedy(cloud, StoppingRule())
-        for t, sub in enumerate(res.nested_subspaces, start=1):
+        for t in range(1, res.terminal_dim + 1):
+            sub = res.subspace(t)
             true_worst = cloud.residual_norms(sub).max()
             assert_allclose(res.error_curve[t - 1], true_worst, rtol=1e-10, atol=1e-12)
 
@@ -60,7 +62,8 @@ class TestRandomClouds:
         vecs = rng.standard_normal((30, 12)) * np.linspace(5, 0.1, 30)[:, None]
         cloud = SnapshotSet(vecs)
         res = greedy(cloud, StoppingRule())
-        for t, sub in enumerate(res.nested_subspaces, start=1):
+        for t in range(1, res.terminal_dim + 1):
+            sub = res.subspace(t)
             assert_allclose(
                 res.error_curve[t - 1], cloud.residual_norms(sub).max(), rtol=1e-9, atol=1e-12
             )
@@ -88,7 +91,7 @@ class TestRandomClouds:
         rng = derived_rng(11)
         cloud = SnapshotSet(rng.standard_normal((20, 8)))
         res = greedy(cloud, StoppingRule(max_dim=5))
-        span = Subspace.from_vectors(cloud.vectors[list(res.selected_indices)])
+        span = orthonormalize(cloud.vectors[list(res.selected_indices)])
         assert span.dim == 5
         for col in res.subspace(5).basis.T:
             assert span.contains(col, tol=1e-8)
@@ -164,7 +167,8 @@ class TestTinyWidthAccuracy:
         noise = 1e-12 * rng.standard_normal((40, 30))
         cloud = SnapshotSet(coords @ basis.T + noise)
         res = greedy(cloud, StoppingRule(max_dim=8))
-        for t, sub in enumerate(res.nested_subspaces, start=1):
+        for t in range(1, res.terminal_dim + 1):
+            sub = res.subspace(t)
             exact = max(dist(v, sub) for v in cloud.vectors)
             assert_allclose(res.error_curve[t - 1], exact, rtol=1e-6, atol=1e-14)
         assert res.error_curve[4] < 1e-10

@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from partialrom.errors import ContractViolation
-from partialrom.thermal import ThermalBlockModel, solve_thermal_block
+from partialrom.thermal import ThermalBlockModel
 
 # 2-point Gauss rule on [0, 1].
 _GPTS = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
@@ -166,15 +166,6 @@ class TestAmbientCoordinates:
         lhs = model.to_ambient(h1) @ model.to_ambient(h2)
         assert_allclose(lhs, h1 @ model.mass @ h2, rtol=1e-10)
 
-    def test_apply_stiffness_is_conjugated_operator(self):
-        model = ThermalBlockModel(4)
-        rng = np.random.default_rng(7)
-        hx = rng.standard_normal(model.ambient_dim)
-        hy = rng.standard_normal(model.ambient_dim)
-        theta = (0.5, 1.5, 2.5, 1.0)
-        ax = model.apply_stiffness_ambient(theta, model.to_ambient(hx))
-        assert_allclose(ax @ model.to_ambient(hy), hx @ model.stiffness(theta) @ hy, rtol=1e-9)
-
 
 class TestSolve:
     def test_uniform_conductivity_exact_linear_profile(self):
@@ -225,12 +216,6 @@ class TestSolve:
     def test_zero_load_zero_solution(self):
         model = ThermalBlockModel(2)
         assert_allclose(model.solve((1.0, 1.0, 1.0, 1.0)), np.zeros(model.ambient_dim))
-
-    def test_functional_wrapper(self):
-        model = ThermalBlockModel(2)
-        a = solve_thermal_block(model, (1.0, 2.0, 3.0, 4.0), flux=1.0)
-        b = model.solve((1.0, 2.0, 3.0, 4.0), flux=1.0)
-        assert_allclose(a, b, rtol=0, atol=0)
 
     def test_stronger_conductivity_cools_plate(self):
         # Scaling all conductivities up must scale the solution down (1/a^2).
