@@ -69,6 +69,7 @@ from .worlds import (
     build_synthetic_world,
     build_thermal_world,
     check_nested_prior,
+    nested_prior,
     random_subspace,
     uniform_ball,
 )

@@ -92,8 +92,12 @@ def posterior_width_bounds(
         raise ContractViolation(f"widths must be finite and >= 0, got {eps}, {eps_prime}")
     if sigma.shape[0] < q:
         raise ContractViolation(f"sigma has {sigma.shape[0]} entries but q = {q}")
+    if not np.all(np.isfinite(sigma[:q])):
+        raise ContractViolation(f"sigma[:q] must be finite, got {sigma[:q]}")
     if i_max is None:
         i_max = ambient_dim
+    if i_max < 0:
+        raise ContractViolation(f"i_max must be >= 0, got {i_max}")
     k_star = min(n, k + n - q)
 
     d_bar = []

@@ -23,10 +23,9 @@ import numpy as np
 
 from .bounds import format_extended, posterior_width_bounds
 from .errors import ConfigError, ContractViolation, EmptySliceError, InfeasibleGeometry
-from .experiment import RunConfig, run_experiment, thermal_defaults, synthetic_defaults
+from .experiment import RunConfig, _build_bundle, posterior_cloud, run_experiment
 from .geometry import SnapshotSet
 from .rng import derived_rng, derived_seed
-from .sampling import PiDistribution, sample_posterior
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -61,23 +60,14 @@ def _resolve_config(args: argparse.Namespace, setup: int) -> RunConfig:
     }
     if args.config and args.from_manifest:
         raise ConfigError("--config and --from-manifest are mutually exclusive")
+    base: dict = {}
     if args.from_manifest:
-        cfg = RunConfig.from_manifest(args.from_manifest)
-        if cfg.setup != setup:
-            raise ConfigError(f"manifest is for setup {cfg.setup}, command expects {setup}")
-        data = cfg.to_dict()
-        data.update(overrides)
-        cfg = RunConfig.from_dict(data)
+        base = RunConfig.from_manifest(args.from_manifest).to_dict()
+        if base["setup"] != setup:
+            raise ConfigError(f"manifest is for setup {base['setup']}, command expects {setup}")
     elif args.config:
-        overrides["setup"] = setup
-        cfg = RunConfig.from_config_file(args.config, overrides)
-    else:
-        base = thermal_defaults() if setup == 1 else synthetic_defaults()
-        data = base.to_dict()
-        data.update(overrides)
-        cfg = RunConfig.from_dict(data)
-    cfg.setup = setup
-    return cfg
+        base = RunConfig.from_config_file(args.config).to_dict()
+    return RunConfig.from_dict({**base, **overrides, "setup": setup})
 
 
 def _cmd_run(args: argparse.Namespace, setup: int) -> int:
@@ -91,7 +81,10 @@ def _cmd_run(args: argparse.Namespace, setup: int) -> int:
 def _parse_sigma(args: argparse.Namespace) -> np.ndarray:
     n_pairs = min(args.m, args.n)
     if args.sigma:
-        vals = np.array([float(tok) for tok in args.sigma.split(",")])
+        try:
+            vals = np.array([float(tok) for tok in args.sigma.split(",")])
+        except ValueError as exc:
+            raise ConfigError(f"--sigma must be comma-separated numbers: {exc}") from exc
     elif args.sigma_mode == "aligned":
         vals = np.ones(n_pairs)
     elif args.sigma_mode == "orthogonal":
@@ -101,8 +94,8 @@ def _parse_sigma(args: argparse.Namespace) -> np.ndarray:
         vals = np.sort(rng.random(n_pairs))[::-1]
     if vals.shape[0] != n_pairs:
         raise ConfigError(f"expected {n_pairs} sigma values, got {vals.shape[0]}")
-    if np.any(vals < 0) or np.any(vals > 1):
-        raise ConfigError("sigma values must lie in [0, 1]")
+    if not np.all((vals >= 0) & (vals <= 1)):
+        raise ConfigError("sigma values must be numbers in [0, 1]")
     if np.any(np.diff(vals) > 1e-12):
         raise ConfigError("sigma values must be nonincreasing")
     return vals
@@ -112,6 +105,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     for flag, value in (("--eps", args.eps), ("--eps-prime", args.eps_prime)):
         if not math.isfinite(value):
             raise ConfigError(f"{flag} must be finite, got {value}")
+    if args.i_max is not None and args.i_max < 0:
+        raise ConfigError(f"--i-max must be >= 0, got {args.i_max}")
     sigma = _parse_sigma(args)
     p = int(np.sum(sigma >= 1.0 - 1e-8))
     q = int(np.sum(sigma > 1e-10))
@@ -158,8 +153,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    from .experiment import _build_bundle  # reuse the world construction
-
+    if args.max_points < 0:
+        raise ConfigError(f"--max-points must be >= 0, got {args.max_points}")
     cfg = _resolve_config(args, args.setup)
     cfg.validate()
     bundle = _build_bundle(cfg)
@@ -168,16 +163,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         idx = np.linspace(0, len(cloud) - 1, args.max_points).round().astype(int)
         cloud = SnapshotSet(cloud.vectors[np.unique(idx)])
     prior = bundle.prior_multi if (args.multi and bundle.prior_multi is not None) else bundle.prior_single
-    samples = sample_posterior(
-        cloud,
-        bundle.w_subspace,
-        prior,
-        cfg.per_point,
-        pi_dist=PiDistribution.from_name(cfg.pi),
-        d_box=cfg.d_box,
-        seed=derived_seed(cfg.seed, 41),
-        max_draws_per_point=cfg.max_draw_factor * cfg.per_point,
-    )
+    samples = posterior_cloud(cfg, bundle, prior, derived_seed(cfg.seed, 41), cloud)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     header = "sample," + ",".join(f"c{j}" for j in range(samples.ambient_dim))

@@ -21,6 +21,7 @@ its output directory alone.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -129,10 +130,6 @@ class RunConfig:
         return dataclasses.asdict(self)
 
     @classmethod
-    def field_types(cls) -> dict[str, type]:
-        return {f.name: f.type for f in dataclasses.fields(cls)}
-
-    @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
@@ -144,12 +141,12 @@ class RunConfig:
                 continue
             raw = data[f.name]
             try:
-                if f.type in ("int", int):
-                    coerced[f.name] = int(raw)
-                elif f.type in ("float", float):
-                    coerced[f.name] = float(raw)
-                else:
-                    coerced[f.name] = str(raw)
+                # A boolean is no number and 2.7 no int: neither may become 1 or 2.
+                if f.type != "str" and isinstance(raw, bool) or (
+                    f.type == "int" and isinstance(raw, float) and not raw.is_integer()
+                ):
+                    raise ValueError(raw)
+                coerced[f.name] = {"int": int, "float": float, "str": str}[f.type](raw)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"bad value for {f.name}: {raw!r}") from exc
         return cls(**coerced)
@@ -189,15 +186,11 @@ def _read_text(path: str | Path) -> str:
 
 
 def thermal_defaults(**overrides) -> RunConfig:
-    base = dict(setup=1, m=25, n=25, i_max=40, cells=24, t_steps=20)
-    base.update(overrides)
-    return RunConfig(**base)
+    return RunConfig(setup=1, **overrides)
 
 
 def synthetic_defaults(**overrides) -> RunConfig:
-    base = dict(setup=2, m=25, n=25, i_max=40)
-    base.update(overrides)
-    return RunConfig(**base)
+    return RunConfig(setup=2, **overrides)
 
 
 @dataclass(frozen=True)
@@ -247,6 +240,8 @@ def nested_width_curve_from_greedy(
 
 
 def _build_bundle(cfg: RunConfig) -> WorldBundle:
+    # Each world gives its prior family and the cloud and width curve
+    # (dims 1..n) that the prior widths are measured on.
     if cfg.setup == 1:
         model = ThermalBlockModel(cfg.cells)
         world = build_thermal_world(
@@ -258,17 +253,12 @@ def _build_bundle(cfg: RunConfig) -> WorldBundle:
             n_prior=cfg.n,
             flux=cfg.flux,
         )
-        n_dim = world.n_prior
-        prior_single = world.prior_manifold(1)
-        prior_multi = world.prior_manifold(cfg.n_factors) if cfg.n_factors > 1 else None
+        prior_manifold = world.prior_manifold
+        source, curve = world.relax_cloud, world.greedy_prior.error_curve[: world.n_prior]
         w_sub = random_subspace(model.ambient_dim, cfg.m, derived_rng(cfg.seed, 11))
-        widths = np.empty(n_dim + 1)
-        widths[0] = float(np.linalg.norm(world.relax_cloud.vectors, axis=1).max())
-        widths[1:] = world.greedy_prior.error_curve[:n_dim]
-        v_single = prior_single.ellipsoids[0].subspace
-        k = cfg.k_intrinsic or 4
-        proj = (world.m_cloud.vectors @ v_single.basis) @ v_single.basis.T
-        t_gr = greedy(SnapshotSet(proj), StoppingRule(max_dim=k))
+        v = world.greedy_prior.subspace(world.n_prior).basis
+        proj = (world.m_cloud.vectors @ v) @ v.T
+        t_gr = greedy(SnapshotSet(proj), StoppingRule(max_dim=cfg.k_intrinsic or 4))
         t_sub = t_gr.subspace(t_gr.terminal_dim)
         name = "thermal"
         m_cloud = world.m_cloud
@@ -283,30 +273,49 @@ def _build_bundle(cfg: RunConfig) -> WorldBundle:
             n_points=cfg.n_points,
             seed=cfg.seed,
         )
-        prior_single = world.prior_manifold(cfg.n, 1)
-        prior_multi = world.prior_manifold(cfg.n, cfg.n_factors) if cfg.n_factors > 1 else None
+        prior_manifold = functools.partial(world.prior_manifold, cfg.n)
+        source, curve = world.cloud, world.nested_width_curve(cfg.n)
         w_sub = world.observation_subspace(cfg.m)
-        nested = world.nested_width_curve(cfg.n)
-        widths = np.empty(cfg.n + 1)
-        widths[0] = float(np.linalg.norm(world.cloud.vectors, axis=1).max())
-        widths[1:] = nested
-        k = cfg.k_intrinsic or cfg.k_hat
-        t_sub = Subspace(world.v_tilde[:, :k])
+        t_sub = Subspace(world.v_tilde[:, : cfg.k_intrinsic or cfg.k_hat])
         name = "synthetic"
         m_cloud = world.cloud
 
-    eps_intrinsic = empirical_width(m_cloud, t_sub)
-    bases = compute_suitable_bases(prior_single.ellipsoids[0].subspace, w_sub)
+    prior_single = prior_manifold(1)
     return WorldBundle(
         name=name,
         m_cloud=m_cloud,
         w_subspace=w_sub,
         prior_single=prior_single,
-        prior_multi=prior_multi,
-        prior_width_by_dim=widths,
+        prior_multi=prior_manifold(cfg.n_factors) if cfg.n_factors > 1 else None,
+        prior_width_by_dim=np.array([np.linalg.norm(source.vectors, axis=1).max(), *curve]),
         t_subspace=t_sub,
-        eps_intrinsic=eps_intrinsic,
-        bases_single=bases,
+        eps_intrinsic=empirical_width(m_cloud, t_sub),
+        bases_single=compute_suitable_bases(prior_single.ellipsoids[0].subspace, w_sub),
+    )
+
+
+def posterior_cloud(
+    cfg: RunConfig,
+    bundle: WorldBundle,
+    prior: PriorManifold,
+    seed: int,
+    m_cloud: SnapshotSet | None = None,
+) -> SnapshotSet:
+    """Posterior samples of ``m_cloud`` (default: the world's manifold cloud)
+    under ``prior``, drawn with the run's sampler settings.
+
+    ``cfg.j_star`` picks the reference factor of a multi-factor prior.
+    """
+    return sample_posterior(
+        bundle.m_cloud if m_cloud is None else m_cloud,
+        bundle.w_subspace,
+        prior,
+        cfg.per_point,
+        pi_dist=PiDistribution.from_name(cfg.pi),
+        d_box=cfg.d_box,
+        seed=seed,
+        j_star=(cfg.j_star or None) if prior.n_factors > 1 else None,
+        max_draws_per_point=cfg.max_draw_factor * cfg.per_point,
     )
 
 
@@ -343,58 +352,25 @@ def _run_rep(
     gr_perf: GreedyResult,
     gr_point: GreedyResult,
 ) -> tuple[list[CurveRecord], dict]:
-    pi = PiDistribution.from_name(cfg.pi)
     stop = StoppingRule(max_dim=cfg.i_max)
-    j_star = cfg.j_star or None
     info: dict = {}
     records: list[CurveRecord] = []
 
-    single_cloud = sample_posterior(
-        bundle.m_cloud,
-        bundle.w_subspace,
-        bundle.prior_single,
-        cfg.per_point,
-        pi_dist=pi,
-        d_box=cfg.d_box,
-        seed=derived_seed(cfg.seed, 21, rep),
-    )
-    gr_single = greedy(single_cloud, stop)
-    records += _curve_records(
-        "post_single", rep, "M", nested_width_curve_from_greedy(gr_single, bundle.m_cloud, cfg.i_max)
-    )
-    records += _curve_records(
-        "post_single", rep, "Mpost", nested_width_curve_from_greedy(gr_single, single_cloud, cfg.i_max)
-    )
-    # The deterministic families are judged against this repetition's cloud.
-    records += _curve_records(
-        "perf", rep, "Mpost", nested_width_curve_from_greedy(gr_perf, single_cloud, cfg.i_max)
-    )
-    records += _curve_records(
-        "point", rep, "Mpost", nested_width_curve_from_greedy(gr_point, single_cloud, cfg.i_max)
-    )
-    info["n_posterior_single"] = len(single_cloud)
+    def widths(gr: GreedyResult, cloud: SnapshotSet) -> list[float]:
+        return nested_width_curve_from_greedy(gr, cloud, cfg.i_max)
 
-    if bundle.prior_multi is not None:
-        multi_cloud = sample_posterior(
-            bundle.m_cloud,
-            bundle.w_subspace,
-            bundle.prior_multi,
-            cfg.per_point,
-            pi_dist=pi,
-            d_box=cfg.d_box,
-            seed=derived_seed(cfg.seed, 22, rep),
-            j_star=j_star,
-            max_draws_per_point=cfg.max_draw_factor * cfg.per_point,
-        )
-        gr_multi = greedy(multi_cloud, stop)
-        records += _curve_records(
-            "post_multi", rep, "M", nested_width_curve_from_greedy(gr_multi, bundle.m_cloud, cfg.i_max)
-        )
-        records += _curve_records(
-            "post_multi", rep, "Mpost", nested_width_curve_from_greedy(gr_multi, multi_cloud, cfg.i_max)
-        )
-        info["n_posterior_multi"] = len(multi_cloud)
-
+    for kind, prior, stream in (("single", bundle.prior_single, 21), ("multi", bundle.prior_multi, 22)):
+        if prior is None:
+            continue
+        cloud = posterior_cloud(cfg, bundle, prior, derived_seed(cfg.seed, stream, rep))
+        gr = greedy(cloud, stop)
+        records += _curve_records(f"post_{kind}", rep, "M", widths(gr, bundle.m_cloud))
+        records += _curve_records(f"post_{kind}", rep, "Mpost", widths(gr, cloud))
+        if kind == "single":
+            # The deterministic families are judged against this repetition's cloud.
+            records += _curve_records("perf", rep, "Mpost", widths(gr_perf, cloud))
+            records += _curve_records("point", rep, "Mpost", widths(gr_point, cloud))
+        info[f"n_posterior_{kind}"] = len(cloud)
     return records, info
 
 
@@ -416,18 +392,15 @@ def run_experiment(cfg: RunConfig) -> ExperimentResult:
         "point", 0, "M", nested_width_curve_from_greedy(gr_point, bundle.m_cloud, cfg.i_max)
     )
 
-    # Reference curves: prior-only widths and the two bound sequences.
+    # Reference curves: the two bound sequences, and what each prior alone
+    # gives at dimension i, the width at its largest nested dimension <= i.
     widths = bundle.prior_width_by_dim
-    n_dim = len(widths) - 1
-    single_vals = [widths[min(i, n_dim)] for i in range(cfg.i_max + 1)]
-    records += _curve_records("prior_single", 0, "bound", single_vals)
+    prior_dims = {"prior_single": range(len(widths))}
     if bundle.prior_multi is not None:
-        n_fac = bundle.prior_multi.n_factors
-        multi_vals = [
-            widths[0] if i == 0 else widths[min(i, n_fac - 1)] if i < n_dim else widths[n_dim]
-            for i in range(cfg.i_max + 1)
-        ]
-        records += _curve_records("prior_multi", 0, "bound", multi_vals)
+        prior_dims["prior_multi"] = [0] + [e.subspace.dim for e in bundle.prior_multi.ellipsoids]
+    for method, dims in prior_dims.items():
+        vals = [widths[max(d for d in dims if d <= i)] for i in range(cfg.i_max + 1)]
+        records += _curve_records(method, 0, "bound", vals)
 
     b = bundle.bases_single
     eps_prime = bundle.prior_single.ellipsoids[0].width

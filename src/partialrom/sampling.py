@@ -341,6 +341,8 @@ def sample_posterior(
     multi = prior.n_factors > 1
     if j_star is None:
         j_star = prior.n_factors
+    if not 1 <= j_star <= prior.n_factors:
+        raise ContractViolation(f"j_star must be in [1, {prior.n_factors}], got {j_star}")
     ref = prior.ellipsoids[j_star - 1]
     bases = compute_suitable_bases(ref.subspace, w_subspace)
 

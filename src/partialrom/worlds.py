@@ -59,6 +59,25 @@ def check_nested_prior(prior: PriorManifold, tol: float = 1e-8) -> None:
             raise ContractViolation("prior subspaces are not nested")
 
 
+def nested_prior(basis: np.ndarray, widths, n_factors: int) -> PriorManifold:
+    """Intersection of tubes around nested spaces spanned by leading columns of ``basis``.
+
+    With n = ``basis.shape[1]`` and L = ``n_factors``, the tubes sit around the
+    leading 1..L-1 columns and around all n columns; the tube at dimension j
+    has width ``widths[j - 1]``.  With ``n_factors = 1`` this is the plain
+    single-tube prior.
+    """
+    n = basis.shape[1]
+    if not 1 <= n_factors <= n:
+        raise ContractViolation(f"n_factors must be in [1, {n}], got {n_factors}")
+    prior = PriorManifold(tuple(
+        DegenerateEllipsoid(Subspace(basis[:, :j]), float(widths[j - 1]))
+        for j in [*range(1, n_factors), n]
+    ))
+    check_nested_prior(prior)
+    return prior
+
+
 def uniform_ball(rng: np.random.Generator, dim: int, radius: float, count: int) -> np.ndarray:
     """Uniform samples in a centered Euclidean ball (rows)."""
     g = rng.standard_normal((count, dim))
@@ -105,26 +124,11 @@ class ThermalWorld:
     greedy_prior: GreedyResult
     n_prior: int
 
-    def prior_widths(self) -> tuple[float, ...]:
-        """Empirical width of the relaxed cloud over each nested prior space."""
-        return self.greedy_prior.error_curve
-
     def prior_manifold(self, n_factors: int = 1) -> PriorManifold:
-        """Intersection prior: factors at dims 1..L-1 plus the full space at dim n.
-
-        With ``n_factors = 1`` this is the plain single-ellipsoid prior."""
-        n_dim = min(self.n_prior, self.greedy_prior.terminal_dim)
-        widths = self.greedy_prior.error_curve
-        if not 1 <= n_factors <= n_dim:
-            raise ContractViolation(f"n_factors must be in [1, {n_dim}], got {n_factors}")
-        factors = [
-            DegenerateEllipsoid(self.greedy_prior.subspace(j), widths[j - 1])
-            for j in range(1, n_factors)
-        ]
-        factors.append(DegenerateEllipsoid(self.greedy_prior.subspace(n_dim), widths[n_dim - 1]))
-        prior = PriorManifold(tuple(factors))
-        check_nested_prior(prior)
-        return prior
+        """Nested prior over the leading ``n_prior`` greedy spaces of the relaxed cloud."""
+        return nested_prior(
+            self.greedy_prior.basis[:, : self.n_prior], self.greedy_prior.error_curve, n_factors
+        )
 
 
 def build_thermal_world(
@@ -199,17 +203,8 @@ class SyntheticWorld:
         return prefix_widths(self.cloud.vectors, self.v_tilde[:, :n])
 
     def prior_manifold(self, n: int, n_factors: int = 1) -> PriorManifold:
-        widths = self.nested_width_curve(n)
-        if not 1 <= n_factors <= n:
-            raise ContractViolation(f"n_factors must be in [1, {n}], got {n_factors}")
-        factors = [
-            DegenerateEllipsoid(self.prior_subspace(j), float(widths[j - 1]))
-            for j in range(1, n_factors)
-        ]
-        factors.append(DegenerateEllipsoid(self.prior_subspace(n), float(widths[n - 1])))
-        prior = PriorManifold(tuple(factors))
-        check_nested_prior(prior)
-        return prior
+        """Nested prior over span{v_1..v_j}, widths from :meth:`nested_width_curve`."""
+        return nested_prior(self.prior_subspace(n).basis, self.nested_width_curve(n), n_factors)
 
 
 def build_synthetic_world(

@@ -133,11 +133,17 @@ class TestPosteriorWidthBounds:
             posterior_width_bounds(2, 2, 10, 0.1, 0.1, np.array([1.0]), p=0, q=2, m=2)
 
     @pytest.mark.parametrize(
-        "eps, eps_prime", [(math.nan, 0.1), (0.1, math.nan), (math.inf, 0.1), (0.1, math.inf)]
+        "bad",
+        [
+            dict(eps=math.nan), dict(eps_prime=math.nan), dict(eps=math.inf),
+            dict(eps_prime=math.inf), dict(sigma=np.array([1.0, math.nan])), dict(i_max=-3),
+        ],
+        ids=["nan-0.1", "0.1-nan", "inf-0.1", "0.1-inf", "sigma-nan", "i_max-negative"],
     )
-    def test_non_finite_widths_rejected(self, eps, eps_prime):
+    def test_non_finite_widths_rejected(self, bad):
+        args = dict(eps=0.1, eps_prime=0.1, sigma=np.array([1.0, 0.5]), i_max=None) | bad
         with pytest.raises(ContractViolation):
-            posterior_width_bounds(2, 2, 10, eps, eps_prime, np.array([1.0, 0.5]), p=0, q=2, m=2)
+            posterior_width_bounds(2, 2, 10, p=0, q=2, m=2, **args)
 
 
 class TestProofSubspace:

@@ -9,6 +9,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from partialrom.cli import main
+from partialrom.rng import derived_seed
+from partialrom.sampling import PiDistribution, sample_posterior
+from partialrom.worlds import build_synthetic_world
 
 
 def tiny_setup2_args(out_dir):
@@ -106,6 +109,10 @@ class TestBounds:
         assert main(bad_count) == 2
         bad_range = self.BASE[: -1] + ["1,0.5,-0.1"]
         assert main(bad_range) == 2
+        for bad_value in ("1,x,0.2", "1,nan,0.2"):
+            assert main(self.BASE[: -1] + [bad_value]) == 2
+        assert main(self.BASE + ["--i-max", "-3"]) == 2
+        assert "--i-max" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--eps", "--eps-prime"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -224,10 +231,12 @@ class TestRunCommands:
             ("--from-manifest", b'{"config": 5}'),
             ("--from-manifest", b"5"),
             ("--from-manifest", b'{"config": {"reps": 1e400}}'),
+            ("--from-manifest", b'{"config": {"setup": 2, "reps": 2.7}}'),
         ],
         ids=[
             "config-missing", "config-not-utf8", "manifest-missing", "manifest-not-json",
             "manifest-config-number", "manifest-number", "manifest-int-overflow",
+            "manifest-fractional-int",
         ],
     )
     def test_unreadable_or_malformed_file_exits_2(self, tmp_path, capsys, option, content):
@@ -278,6 +287,10 @@ class TestSample:
         ]
         assert main(args) == 0
         assert len(out.read_text().splitlines()) == 1 + 2 * 3
+        at = args.index("--max-points") + 1
+        assert main(args[:at] + ["0"] + args[at + 1:]) == 0  # 0 keeps every point
+        assert len(out.read_text().splitlines()) == 1 + 5 * 3
+        assert main(args[:at] + ["-5"] + args[at + 1:]) == 2
 
     def test_multi_prior_sampling(self, tmp_path):
         out = tmp_path / "multi.csv"
@@ -289,6 +302,26 @@ class TestSample:
         ]
         assert main(args) == 0
         assert len(out.read_text().splitlines()) == 1 + 4 * 2
+
+    def test_multi_honours_j_star(self, tmp_path):
+        out = tmp_path / "multi.csv"
+        args = [
+            "sample", "--setup", "2", "--out", str(out), "--multi", "--j-star", "2",
+            "--ambient", "24", "--n-max", "10", "--k-hat", "2", "--delta", "1e-2",
+            "--m", "8", "--n", "6", "--n-factors", "3", "--n-points", "4",
+            "--per-point", "2", "--seed", "11",
+        ]
+        assert main(args) == 0
+        world = build_synthetic_world(
+            ambient_dim=24, n_max=10, k_hat=2, delta=1e-2, n_points=4, seed=11
+        )
+        expected = sample_posterior(
+            world.cloud, world.observation_subspace(8), world.prior_manifold(6, 3), 2,
+            pi_dist=PiDistribution.from_name("mixture"), seed=derived_seed(11, 41), j_star=2,
+            max_draws_per_point=100 * 2,
+        )
+        rows = [line.split(",")[1:] for line in out.read_text().splitlines()[1:]]
+        assert np.array_equal(np.array(rows, dtype=float), expected.vectors)
 
     def test_deterministic_across_runs(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -21,6 +21,7 @@ from partialrom.experiment import (
 from partialrom.geometry import SnapshotSet
 from partialrom.greedy import StoppingRule, greedy
 from partialrom.rng import derived_rng
+from partialrom.worlds import build_synthetic_world
 
 
 def tiny_synthetic(**overrides) -> RunConfig:
@@ -93,6 +94,9 @@ class TestRunConfig:
     def test_from_dict_coerces_strings(self):
         cfg = RunConfig.from_dict({"setup": "2", "seed": "9", "d_box": "2.5", "pi": "mixture"})
         assert cfg.setup == 2 and cfg.seed == 9 and cfg.d_box == 2.5
+        # Integral numbers are accepted for int fields, ints for float fields.
+        cfg = RunConfig.from_dict({"reps": 3.0, "d_box": 2})
+        assert cfg.reps == 3 and isinstance(cfg.reps, int) and cfg.d_box == 2.0
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
@@ -101,6 +105,10 @@ class TestRunConfig:
     def test_from_dict_rejects_bad_values(self):
         with pytest.raises(ConfigError):
             RunConfig.from_dict({"seed": "twelve"})
+        for bad in ({"reps": 2.7}, {"reps": True}, {"seed": False}, {"reps": math.nan},
+                    {"reps": "2.5"}, {"d_box": True}):
+            with pytest.raises(ConfigError):
+                RunConfig.from_dict(bad)
 
     def test_config_file_parsing(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -174,6 +182,22 @@ class TestSyntheticRun:
         for key in expected:
             rows = [r for r in result.records if (r.method, r.target, r.rep) == key]
             assert [r.i for r in rows] == list(range(cfg.i_max + 1))
+
+    def test_prior_reference_values(self):
+        # Each prior row is the width at its largest nested dimension <= i:
+        # dims 0..n for prior_single, 0 plus the factor dims for prior_multi.
+        res = run_experiment(tiny_synthetic(n_factors=3, i_max=9, reps=1))
+        world = build_synthetic_world(
+            ambient_dim=24, n_max=10, k_hat=2, delta=1e-2, n_points=8, seed=77
+        )
+        widths = [np.linalg.norm(world.cloud.vectors, axis=1).max(), *world.nested_width_curve(6)]
+
+        def rows(method):
+            return [r.value for r in res.records if r.method == method]
+
+        assert rows("prior_single") == [widths[min(i, 6)] for i in range(10)]
+        # Factor dims 1, 2 and 6.
+        assert rows("prior_multi") == [widths[d] for d in (0, 1, 2, 2, 2, 2, 6, 6, 6, 6)]
 
     def test_records_sorted(self, result):
         keys = [(r.method, r.target, r.rep, r.i) for r in result.records]

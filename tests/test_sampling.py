@@ -339,6 +339,10 @@ class TestSamplePosterior:
         cloud = SnapshotSet(rng.standard_normal((2, 10)))
         with pytest.raises(ContractViolation):
             sample_posterior(cloud, w, DegenerateEllipsoid(v, 0.1), per_point=0)
+        # The reference factor must exist: no index 0 or past the last factor.
+        for j_star in (0, 2):
+            with pytest.raises(ContractViolation):
+                sample_posterior(cloud, w, DegenerateEllipsoid(v, 0.1), per_point=1, j_star=j_star)
 
 
 class TestUnionSetContains:

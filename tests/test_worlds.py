@@ -127,7 +127,7 @@ class TestThermalWorld:
             assert prior_contains(prior, state)
 
     def test_prior_widths_are_greedy_errors(self, thermal_world):
-        widths = thermal_world.prior_widths()
+        widths = thermal_world.greedy_prior.error_curve
         assert len(widths) == 5
         assert all(a >= b - 1e-12 for a, b in zip(widths, widths[1:]))
         # Width j is the worst relaxed-state distance to the j-dim space.
@@ -142,7 +142,7 @@ class TestThermalWorld:
         assert prior.n_factors == 3
         dims = [e.subspace.dim for e in prior.ellipsoids]
         assert dims == [1, 2, 5]
-        widths = thermal_world.prior_widths()
+        widths = thermal_world.greedy_prior.error_curve
         assert prior.ellipsoids[0].width == widths[0]
         assert prior.ellipsoids[1].width == widths[1]
         assert prior.ellipsoids[2].width == widths[4]
