@@ -157,12 +157,14 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         raise ConfigError(f"--max-points must be >= 0, got {args.max_points}")
     cfg = _resolve_config(args, args.setup)
     cfg.validate()
+    if args.multi and cfg.n_factors < 2:
+        raise ConfigError(f"--multi needs --n-factors >= 2, got {cfg.n_factors}")
     bundle = _build_bundle(cfg)
     cloud = bundle.m_cloud
     if args.max_points and len(cloud) > args.max_points:
         idx = np.linspace(0, len(cloud) - 1, args.max_points).round().astype(int)
         cloud = SnapshotSet(cloud.vectors[np.unique(idx)])
-    prior = bundle.prior_multi if (args.multi and bundle.prior_multi is not None) else bundle.prior_single
+    prior = bundle.prior_multi if args.multi else bundle.prior_single
     samples = posterior_cloud(cfg, bundle, prior, derived_seed(cfg.seed, 41), cloud)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -11,6 +11,12 @@ that edge sees conductivity theta_3 and the right half theta_4, giving the
 load ``c (theta_3^{-1} g_left + theta_4^{-1} g_right)`` for precomputed
 edge-mass vectors.
 
+With the nodes numbered row by row, ``A(theta)`` is banded with half-bandwidth
+``cells + 2``.  Each quadrant part is stored once in LAPACK upper band form;
+a solve combines the four bands in O(N b) and factors the SPD result with a
+banded Cholesky (``scipy.linalg.solveh_banded``, LAPACK ``pbsv``), one call
+per state.
+
 States are exposed in *ambient coordinates*: with the free-node mass matrix
 factored as ``M = L L^T``, a nodal vector ``h`` maps to ``L^T h``, which turns
 the finite-element L2 inner product into the plain dot product used by every
@@ -20,7 +26,7 @@ other module.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg import cholesky, solve_triangular, solveh_banded
 
 from .errors import ContractViolation
 from .geometry import as_vector
@@ -53,8 +59,30 @@ def _check_theta(theta) -> np.ndarray:
     return t
 
 
+def _combine(t: np.ndarray, parts) -> np.ndarray:
+    """``sum_i t_i parts_i``, summed in quadrant order."""
+    out = t[0] * parts[0]
+    for i in range(1, 4):
+        out = out + t[i] * parts[i]
+    return out
+
+
+def _upper_band(a: np.ndarray, b: int) -> np.ndarray:
+    """Upper band form of a symmetric matrix of half-bandwidth ``b``."""
+    ab = np.zeros((b + 1, a.shape[0]))
+    for k in range(b + 1):
+        ab[b - k, k:] = np.diagonal(a, k)
+    return ab
+
+
 class ThermalBlockModel:
-    """Discretized thermal block with per-quadrant stiffness parts."""
+    """Discretized thermal block with per-quadrant stiffness parts.
+
+    ``stiffness_bands`` holds each quadrant part in LAPACK upper band form
+    (half-bandwidth ``bandwidth``); ``solve`` works on these alone.  The dense
+    ``stiffness_parts`` and ``stiffness(theta)`` are kept as references for
+    tests and ``selftest``.
+    """
 
     def __init__(self, cells: int = 24):
         if cells < 2 or cells % 2:
@@ -62,52 +90,59 @@ class ThermalBlockModel:
         self.cells = cells
         n_side = cells + 1
         self.n_nodes = n_side * n_side
-
-        def node(ix: int, iy: int) -> int:
-            return iy * n_side + ix
-
         h = 1.0 / cells
-        stiff = [np.zeros((self.n_nodes, self.n_nodes)) for _ in range(4)]
-        mass = np.zeros((self.n_nodes, self.n_nodes))
-        for cy in range(cells):
-            for cx in range(cells):
-                loc = [node(cx, cy), node(cx + 1, cy), node(cx + 1, cy + 1), node(cx, cy + 1)]
-                left = (cx + 0.5) / cells < 0.5
-                top = (cy + 0.5) / cells >= 0.5
-                quad = (0 if left else 1) if top else (2 if left else 3)
-                ks = stiff[quad]
-                for a in range(4):
-                    ia = loc[a]
-                    ks[ia, loc] += _K_LOCAL[a]
-                    mass[ia, loc] += h * h * _M_LOCAL[a]
 
-        # Bottom-edge flux load, split by the conductivity seen by each half.
-        g_left = np.zeros(self.n_nodes)
-        g_right = np.zeros(self.n_nodes)
-        for cx in range(cells):
-            target = g_left if (cx + 0.5) / cells < 0.5 else g_right
-            target[node(cx, 0)] += 0.5 * h
-            target[node(cx + 1, 0)] += 0.5 * h
+        # Cells in row-major order; node (ix, iy) has index iy * n_side + ix.
+        cy, cx = np.divmod(np.arange(cells * cells), cells)
+        sw = cy * n_side + cx
+        loc = np.stack([sw, sw + 1, sw + 1 + n_side, sw + n_side], axis=1)  # SW, SE, NE, NW
+        left = (cx + 0.5) / cells < 0.5
+        top = (cy + 0.5) / cells >= 0.5
+        quad = np.where(top, np.where(left, 0, 1), np.where(left, 2, 3))
 
-        # Eliminate the top edge (homogeneous Dirichlet).
-        free = np.array([node(ix, iy) for iy in range(cells) for ix in range(n_side)])
-        self.free_nodes = free
-        self.stiffness_parts = tuple(np.ascontiguousarray(s[np.ix_(free, free)]) for s in stiff)
-        self.mass = np.ascontiguousarray(mass[np.ix_(free, free)])
-        self.flux_left = g_left[free]
-        self.flux_right = g_right[free]
+        # Scatter the local matrices in cell order, so every entry sums its
+        # cell contributions in a fixed order.  The top edge is eliminated
+        # (homogeneous Dirichlet): the free nodes are the rows iy < cells, a
+        # prefix of the node numbering, so entries that touch a top-edge
+        # node are dropped before the scatter.
+        n_free = cells * n_side
+        rows = np.repeat(loc, 4, axis=1)
+        cols = np.tile(loc, (1, 4))
+        keep = (rows < n_free) & (cols < n_free)
+        quads = np.broadcast_to(quad[:, None], keep.shape)[keep]
+        at = (rows[keep], cols[keep])
+        stiff = np.zeros((4, n_free, n_free))
+        np.add.at(stiff, (quads,) + at, np.broadcast_to(_K_LOCAL.ravel(), keep.shape)[keep])
+        mass = np.zeros((n_free, n_free))
+        np.add.at(mass, at, np.broadcast_to((h * h * _M_LOCAL).ravel(), keep.shape)[keep])
+
+        # Bottom-edge flux load, split by the conductivity seen by each half:
+        # row 0 is the left half, row 1 the right half.
+        flux = np.zeros((2, n_free))
+        edge = np.stack([cx[:cells], cx[:cells] + 1], axis=1)
+        np.add.at(flux, (np.where(left[:cells], 0, 1)[:, None], edge), 0.5 * h)
+
+        self.free_nodes = np.arange(n_free)
+        self.stiffness_parts = tuple(stiff)
+        self.mass = mass
+        self.flux_left, self.flux_right = flux
         self.mass_chol = cholesky(self.mass, lower=True)
+
+        # A cell couples nodes at most n_side + 1 apart (SW to NE).
+        self.bandwidth = n_side + 1
+        self.stiffness_bands = tuple(_upper_band(p, self.bandwidth) for p in self.stiffness_parts)
 
     @property
     def ambient_dim(self) -> int:
         return self.free_nodes.shape[0]
 
     def stiffness(self, theta) -> np.ndarray:
-        t = _check_theta(theta)
-        out = t[0] * self.stiffness_parts[0]
-        for i in range(1, 4):
-            out = out + t[i] * self.stiffness_parts[i]
-        return out
+        """Dense ``A(theta)``: a reference for tests and ``selftest``, not used by ``solve``."""
+        return _combine(_check_theta(theta), self.stiffness_parts)
+
+    def stiffness_band(self, theta) -> np.ndarray:
+        """``A(theta)`` in LAPACK upper band form, ``ab[b - k, k:] = diag(A, k)``."""
+        return _combine(_check_theta(theta), self.stiffness_bands)
 
     def to_ambient(self, nodal) -> np.ndarray:
         """Nodal coefficients -> ambient coordinates (L^T h)."""
@@ -124,7 +159,8 @@ class ThermalBlockModel:
 
         ``flux`` scales the conductivity-normalized bottom-edge load;
         ``source_coeffs`` is a volumetric source given in ambient coordinates
-        (its nodal load is ``L source_coeffs``).
+        (its nodal load is ``L source_coeffs``).  ``A(theta)`` is SPD for the
+        validated ``theta > 0`` and is factored in band form.
         """
         t = _check_theta(theta)
         rhs = np.zeros(self.ambient_dim)
@@ -132,5 +168,5 @@ class ThermalBlockModel:
             rhs += flux * (self.flux_left / t[2] + self.flux_right / t[3])
         if source_coeffs is not None:
             rhs += self.mass_chol @ as_vector(source_coeffs, self.ambient_dim)
-        nodal = np.linalg.solve(self.stiffness(t), rhs)
+        nodal = solveh_banded(self.stiffness_band(t), rhs, overwrite_ab=True)
         return self.to_ambient(nodal)

@@ -303,6 +303,19 @@ class TestSample:
         assert main(args) == 0
         assert len(out.read_text().splitlines()) == 1 + 4 * 2
 
+    def test_multi_needs_several_factors(self, tmp_path, capsys):
+        out = tmp_path / "multi.csv"
+        args = [
+            "sample", "--setup", "2", "--out", str(out), "--multi",
+            "--ambient", "24", "--n-max", "10", "--k-hat", "2", "--delta", "1e-2",
+            "--m", "8", "--n", "6", "--n-points", "4", "--per-point", "2", "--seed", "11",
+        ]
+        assert main(args) == 2  # n_factors defaults to 1: no multi-tube prior
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(args + ["--n-factors", "1"]) == 2
+        assert not out.exists()
+
     def test_multi_honours_j_star(self, tmp_path):
         out = tmp_path / "multi.csv"
         args = [

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from partialrom import thermal
 from partialrom.errors import ContractViolation
 from partialrom.thermal import ThermalBlockModel
 
@@ -102,6 +103,32 @@ class TestAssembly:
         assert_allclose(model.mass, ref_mass, atol=1e-14)
         assert_allclose(model.flux_left, ref_gl, atol=1e-14)
         assert_allclose(model.flux_right, ref_gr, atol=1e-14)
+
+    @pytest.mark.parametrize("cells", [2, 4, 6])
+    def test_bitwise_equal_to_cell_loop(self, cells):
+        # The cell-by-cell loop the vectorized scatter replaced, with the
+        # model's own local matrices: same arithmetic, so equal bits.
+        n_side, h = cells + 1, 1.0 / cells
+        n = n_side * n_side
+        stiff, mass, flux = np.zeros((4, n, n)), np.zeros((n, n)), np.zeros((2, n))
+        for cy in range(cells):
+            for cx in range(cells):
+                sw = cy * n_side + cx
+                loc = [sw, sw + 1, sw + 1 + n_side, sw + n_side]
+                left, top = (cx + 0.5) / cells < 0.5, (cy + 0.5) / cells >= 0.5
+                quad = (0 if left else 1) if top else (2 if left else 3)
+                for a in range(4):
+                    stiff[quad][loc[a], loc] += thermal._K_LOCAL[a]
+                    mass[loc[a], loc] += h * h * thermal._M_LOCAL[a]
+        for cx in range(cells):
+            flux[0 if (cx + 0.5) / cells < 0.5 else 1, [cx, cx + 1]] += 0.5 * h
+        free = slice(0, cells * n_side)
+        model = ThermalBlockModel(cells)
+        for part, ref in zip(model.stiffness_parts, stiff):
+            assert np.array_equal(part, ref[free, free])
+        assert np.array_equal(model.mass, mass[free, free])
+        assert np.array_equal(model.flux_left, flux[0, free])
+        assert np.array_equal(model.flux_right, flux[1, free])
 
     def test_free_node_count(self):
         for cells in (2, 4, 6):
@@ -223,3 +250,54 @@ class TestSolve:
         base = model.solve((1.0, 1.0, 1.0, 1.0), flux=1.0)
         double = model.solve((2.0, 2.0, 2.0, 2.0), flux=1.0)
         assert_allclose(double, base / 4.0, rtol=1e-9)
+
+
+def _dense_from_upper_band(ab):
+    """Symmetric matrix whose LAPACK upper band form is ``ab``."""
+    b, n = ab.shape[0] - 1, ab.shape[1]
+    upper = np.zeros((n, n))
+    for k in range(b + 1):
+        upper += np.diag(ab[b - k, k:], k)
+    return upper + np.triu(upper, 1).T
+
+
+class TestBandedSolve:
+    @pytest.mark.parametrize("cells", [2, 4, 24])
+    def test_band_form_expands_to_dense_stiffness(self, cells):
+        model = ThermalBlockModel(cells)
+        assert model.bandwidth == cells + 2
+        theta = np.exp(np.random.default_rng(cells).uniform(np.log(0.1), np.log(10.0), 4))
+        ab = model.stiffness_band(theta)
+        assert ab.shape == (model.bandwidth + 1, model.ambient_dim)
+        # Exact: a band narrower than the stiffness would drop nonzeros.
+        assert np.array_equal(_dense_from_upper_band(ab), model.stiffness(theta))
+
+    @pytest.mark.parametrize("cells", [2, 4, 24])
+    def test_matches_dense_solve(self, cells):
+        model = ThermalBlockModel(cells)
+        rng = np.random.default_rng(100 + cells)
+        for _ in range(5):
+            theta = np.exp(rng.uniform(np.log(0.1), np.log(10.0), 4))
+            flux = rng.uniform(0.5, 2.0)
+            source = rng.standard_normal(model.ambient_dim)
+            rhs = flux * (model.flux_left / theta[2] + model.flux_right / theta[3])
+            cases = (
+                ({"flux": flux}, rhs),
+                ({"source_coeffs": source}, model.mass_chol @ source),
+                ({"flux": flux, "source_coeffs": source}, rhs + model.mass_chol @ source),
+            )
+            for kwargs, load in cases:
+                ref = model.to_ambient(np.linalg.solve(model.stiffness(theta), load))
+                got = model.solve(theta, **kwargs)
+                assert np.linalg.norm(got - ref) <= 1e-11 * np.linalg.norm(ref)
+
+    def test_solve_never_forms_dense_stiffness(self, monkeypatch):
+        model = ThermalBlockModel(4)
+        expected = model.solve((0.4, 1.1, 2.2, 0.9), flux=1.0, source_coeffs=np.ones(20))
+
+        def dense(theta):
+            raise AssertionError("solve formed the dense stiffness")
+
+        monkeypatch.setattr(model, "stiffness", dense)
+        got = model.solve((0.4, 1.1, 2.2, 0.9), flux=1.0, source_coeffs=np.ones(20))
+        assert np.array_equal(got, expected)
