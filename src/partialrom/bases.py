@@ -24,39 +24,29 @@ touches only the other three blocks, keeping the cost linear in N.
 
 from __future__ import annotations
 
+import functools
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import ContractViolation, InfeasibleGeometry
 from .geometry import Subspace, as_vector
 
 
+@dataclass(eq=False)
 class SuitableBases:
     """Rotated-basis data for a (V, W) pair; construct via :func:`compute_suitable_bases`."""
 
-    def __init__(
-        self,
-        v_subspace: Subspace,
-        w_subspace: Subspace,
-        w_star: np.ndarray,
-        v_star: np.ndarray,
-        sigma: np.ndarray,
-        p: int,
-        q: int,
-        w_rotation: np.ndarray,
-        v_rotation: np.ndarray,
-        w_tilde: np.ndarray,
-    ):
-        self.v_subspace = v_subspace
-        self.w_subspace = w_subspace
-        self.w_star = w_star          # (N, m) rotated ONB of W
-        self.v_star = v_star          # (N, n) rotated ONB of V
-        self.sigma = sigma            # (min(m, n),) descending in [0, 1]
-        self.p = p
-        self.q = q
-        self.w_rotation = w_rotation  # (m, m) X: w*_j = sum_i w_i X[i, j]
-        self.v_rotation = v_rotation  # (n, n) Z: v*_j = sum_i v_i Z[i, j]
-        self.w_tilde = w_tilde        # (N, q - p) ONB of P_W⊥(V) interaction block
-        self._u_basis: np.ndarray | None = None
+    v_subspace: Subspace
+    w_subspace: Subspace
+    w_star: np.ndarray      # (N, m) rotated ONB of W
+    v_star: np.ndarray      # (N, n) rotated ONB of V
+    sigma: np.ndarray       # (min(m, n),) descending in [0, 1]
+    p: int
+    q: int
+    w_rotation: np.ndarray  # (m, m) X: w*_j = sum_i w_i X[i, j]
+    v_rotation: np.ndarray  # (n, n) Z: v*_j = sum_i v_i Z[i, j]
+    w_tilde: np.ndarray     # (N, q - p) ONB of P_W⊥(V) interaction block
 
     @property
     def ambient_dim(self) -> int:
@@ -91,17 +81,15 @@ class SuitableBases:
         """
         return np.hstack([self.w_star, self.w_tilde, self.v_star_tail])
 
-    @property
+    @functools.cached_property
     def u_basis(self) -> np.ndarray:
         """ONB of W⊥ ∩ V⊥, built on first access.
 
         The trailing columns of a complete QR of :attr:`complement_onb` span
         its orthogonal complement; there are exactly N - (m + n - p) = r.
         """
-        if self._u_basis is None:
-            comp = self.complement_onb
-            self._u_basis = np.linalg.qr(comp, mode="complete")[0][:, comp.shape[1]:]
-        return self._u_basis
+        comp = self.complement_onb
+        return np.linalg.qr(comp, mode="complete")[0][:, comp.shape[1]:]
 
     def w_star_coefficients(self, obs_values: np.ndarray) -> np.ndarray:
         """Rotate raw observation values <w_i, h> into <w*_j, h> = (X^T obs)_j."""

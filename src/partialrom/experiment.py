@@ -446,6 +446,7 @@ def _build_manifest(
         ]
         entry["max"] = [format_extended(max(per_i[i])) for i in entry["i"]]
         summary.setdefault(method, {})[target] = entry
+    b = bundle.bases_single
     return {
         "world": bundle.name,
         "config": cfg.to_dict(),
@@ -453,6 +454,8 @@ def _build_manifest(
         "n_manifold_points": len(bundle.m_cloud),
         "eps_intrinsic": format_extended(bundle.eps_intrinsic),
         "eps_prime": format_extended(bundle.prior_single.ellipsoids[0].width),
+        # Stability factor sigma_q of (V, W); 1 / beta is mu(V, W) of Binev et al.
+        "beta": format_extended(b.sigma[b.q - 1] if b.q else 0.0),
         "repetitions": rep_infos,
         "summary": summary,
     }

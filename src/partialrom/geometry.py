@@ -196,6 +196,12 @@ class PriorManifold:
     def ambient_dim(self) -> int:
         return self.ellipsoids[0].ambient_dim
 
+    def factor(self, j: int) -> DegenerateEllipsoid:
+        """Factor ``j``, counted from 1."""
+        if not 1 <= j <= self.n_factors:
+            raise ContractViolation(f"factor index must be in [1, {self.n_factors}], got {j}")
+        return self.ellipsoids[j - 1]
+
     @classmethod
     def single(cls, subspace: Subspace, width: float) -> "PriorManifold":
         return cls((DegenerateEllipsoid(subspace, width),))

@@ -12,10 +12,12 @@ directions ``v*_{q+1..n}``, and a component z in W⊥ ∩ V⊥, constrained by
 
     sum b_j^2 + ||z||^2  <=  budget = eps'^2 - sum_{j>q} <w*_j, h>^2.
 
-``sample_slice`` draws from one slice; ``sample_slice_multi`` handles a
-multi-ellipsoid prior by sampling a reference factor's slice and rejecting
-draws outside the other factors.  ``sample_posterior`` fans either sampler out
-over a cloud of manifold points with per-point derived streams.
+``sample_slice`` draws from one slice, each block for all samples at once as
+arrays.  ``sample_slice_multi`` samples a prior of one or more ellipsoids by
+drawing from a reference factor's slice and rejecting draws outside the other
+factors; a single tube has no other factor, so its first chunk is accepted
+whole.  ``sample_posterior`` runs it over a cloud of manifold points with
+per-point derived streams.
 """
 
 from __future__ import annotations
@@ -42,6 +44,11 @@ DEFAULT_D_BOX = 10.0
 #: Tolerance added to a factor's width in the multi-prior acceptance test, so
 #: that draws from the reference slice are not lost to rounding noise.
 ACCEPT_TOL = 1e-9
+
+#: Share of ``mixture`` draws of pi pushed toward 1, and the factor their
+#: interaction chi-square sum is scaled by.
+MIXTURE_WEIGHT = 0.9
+MIXTURE_SCALE = 1e4
 
 
 @dataclass(frozen=True)
@@ -83,24 +90,18 @@ class PiDistribution:
     """
 
     kind: str = "uniform-beta"
-    mixture_weight: float = 0.9
-    mixture_scale: float = 1e4
 
     def __post_init__(self):
         if self.kind not in ("uniform-beta", "mixture"):
             raise ContractViolation(f"unknown pi distribution kind: {self.kind!r}")
-        if not 0.0 <= self.mixture_weight <= 1.0:
-            raise ContractViolation("mixture_weight must lie in [0, 1]")
-        if self.mixture_scale <= 0:
-            raise ContractViolation("mixture_scale must be positive")
 
     @classmethod
     def uniform_beta(cls) -> "PiDistribution":
         return cls(kind="uniform-beta")
 
     @classmethod
-    def mixture(cls, weight: float = 0.9, scale: float = 1e4) -> "PiDistribution":
-        return cls(kind="mixture", mixture_weight=weight, mixture_scale=scale)
+    def mixture(cls) -> "PiDistribution":
+        return cls(kind="mixture")
 
     @classmethod
     def from_name(cls, name: str) -> "PiDistribution":
@@ -111,21 +112,20 @@ class PiDistribution:
             return cls.mixture()
         raise ContractViolation(f"unknown pi distribution name: {name!r}")
 
-    def draw(self, rng: np.random.Generator, n_interaction: int, n_residual: int) -> float:
-        """One draw of pi for block dimensions (q - p, r)."""
+    def draw(
+        self, rng: np.random.Generator, n_interaction: int, n_residual: int, count: int
+    ) -> np.ndarray:
+        """``count`` draws of pi for block dimensions (q - p, r)."""
         if n_interaction == 0:
-            return 0.0
+            return np.zeros(count)
         if n_residual == 0:
-            return 1.0
-        xi = rng.standard_normal(n_interaction + n_residual)
-        head = float(np.sum(xi[:n_interaction] ** 2))
-        tail = float(np.sum(xi[n_interaction:] ** 2))
-        if self.kind == "uniform-beta":
-            return head / (head + tail)
-        if rng.random() < 1.0 - self.mixture_weight:
-            return head / (head + tail)
-        scaled = self.mixture_scale * head
-        return scaled / (scaled + tail)
+            return np.ones(count)
+        xi = rng.standard_normal((count, n_interaction + n_residual))
+        head = np.sum(xi[:, :n_interaction] ** 2, axis=1)
+        tail = np.sum(xi[:, n_interaction:] ** 2, axis=1)
+        if self.kind == "mixture":
+            head = np.where(rng.random(count) < MIXTURE_WEIGHT, MIXTURE_SCALE * head, head)
+        return head / (head + tail)
 
 
 @dataclass(frozen=True)
@@ -167,13 +167,11 @@ def build_slice(obs: Observation, prior: DegenerateEllipsoid, bases: SuitableBas
     )
 
 
-def _unit_direction(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Uniform direction on the unit sphere in R^dim."""
-    while True:
-        g = rng.standard_normal(dim)
-        nrm = np.linalg.norm(g)
-        if nrm > 1e-12:
-            return g / nrm
+def _rows_with_norms(x: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Rescale each row of ``x`` to the given norm; a zero row stays zero."""
+    current = np.linalg.norm(x, axis=1)
+    scale = np.divide(norms, current, out=np.zeros_like(current), where=current > 0)
+    return x * scale[:, None]
 
 
 def sample_slice(
@@ -185,12 +183,13 @@ def sample_slice(
 ) -> SnapshotSet:
     """Draw ``n_samples`` points of the slice.
 
-    Per sample: draw pi, then a budget fraction gamma ~ U[0, budget]; put
-    gamma * pi^2 of squared norm on the interaction coefficients b (uniform
-    direction), gamma * (1 - pi^2) on z ∈ W⊥ ∩ V⊥ (uniform direction obtained
-    by projecting a Gaussian off the complement blocks), and d_j ~ U[-d_box,
-    d_box] on the unobserved prior directions.  Every output reproduces the
-    observation exactly and stays within the prior width.
+    Each block is drawn for all samples at once: pi, then a budget fraction
+    gamma ~ U[0, budget]; gamma * pi^2 of squared norm goes on the interaction
+    coefficients b (a normalized Gaussian row, i.e. a uniform direction),
+    gamma * (1 - pi^2) on z ∈ W⊥ ∩ V⊥ (a Gaussian row projected off the
+    complement blocks, then normalized), and d_j ~ U[-d_box, d_box] on the
+    unobserved prior directions.  Every output reproduces the observation
+    exactly and stays within the prior width.
     """
     if n_samples < 1:
         raise ContractViolation(f"n_samples must be >= 1, got {n_samples}")
@@ -204,33 +203,24 @@ def sample_slice(
     pi_dist = pi_dist or PiDistribution.uniform_beta()
     gen = as_rng(rng)
     b = slice_.bases
-    n_amb = b.ambient_dim
     n_int = b.q - b.p          # interaction block dimension
     n_tail = b.n - b.q         # unobserved prior directions
     n_res = b.r                # dim(W⊥ ∩ V⊥)
-    comp = b.complement_onb
-    sigma_int = b.sigma[b.p : b.q]
-    amplified = b.w_tilde / sigma_int if n_int else b.w_tilde  # columns sigma_j^{-1} wt_j
 
-    out = np.empty((n_samples, n_amb))
-    for i in range(n_samples):
-        s = slice_.center.copy()
-        if n_int or n_res:
-            pi = pi_dist.draw(gen, n_int, n_res)
-            gamma = gen.uniform(0.0, slice_.radius_sq_budget)
-            if n_int:
-                b_dir = _unit_direction(gen, n_int)
-                s -= amplified @ (np.sqrt(gamma) * pi * b_dir)
-            if n_res:
-                g = gen.standard_normal(n_amb)
-                z = g - comp @ (comp.T @ g)
-                nrm = np.linalg.norm(z)
-                if nrm > 1e-12:
-                    s += z * (np.sqrt(gamma * (1.0 - pi**2)) / nrm)
-        if n_tail:
-            d = gen.uniform(-d_box, d_box, size=n_tail)
-            s += b.v_star_tail @ d
-        out[i] = s
+    out = np.tile(slice_.center, (n_samples, 1))
+    if n_int or n_res:
+        pi = pi_dist.draw(gen, n_int, n_res, n_samples)
+        gamma = gen.uniform(0.0, slice_.radius_sq_budget, size=n_samples)
+        if n_int:
+            dirs = gen.standard_normal((n_samples, n_int))
+            coeffs = _rows_with_norms(dirs, np.sqrt(gamma) * pi)
+            out -= (coeffs / b.sigma[b.p : b.q]) @ b.w_tilde.T  # along sigma_j^{-1} wt_j
+        if n_res:
+            comp = b.complement_onb
+            g = gen.standard_normal((n_samples, b.ambient_dim))
+            out += _rows_with_norms(g - (g @ comp) @ comp.T, np.sqrt(gamma * (1.0 - pi**2)))
+    if n_tail:
+        out += gen.uniform(-d_box, d_box, size=(n_samples, n_tail)) @ b.v_star_tail.T
     return SnapshotSet(out)
 
 
@@ -257,61 +247,57 @@ def sample_slice_multi(
     pi_dist: PiDistribution | None = None,
     d_box: float = DEFAULT_D_BOX,
     rng: int | np.random.Generator = 0,
-    bases: SuitableBases | None = None,
-    w_subspace: Subspace | None = None,
+    *,
+    bases: SuitableBases,
 ) -> MultiSliceResult:
-    """Sample the posterior of a multi-ellipsoid prior by rejection.
+    """Sample the posterior of a prior of one or more ellipsoids by rejection.
 
     Draws come from the slice of the reference factor ``j_star`` (1-based); a
-    draw is accepted iff it lies within every factor's width.  ``bases`` must
-    be the suitable bases of (factor j_star's subspace, W); pass ``w_subspace``
-    instead to have them computed here.  If ``max_draws`` is exhausted first, a
-    :class:`PartialSampleWarning` is emitted and the partial result returned
-    with ``complete=False``.
+    draw is accepted iff it lies within every other factor's width.  ``bases``
+    must be the suitable bases of (factor j_star's subspace, W).  ``max_draws``
+    (default ``100 * n_samples``) may not be below ``n_samples``.  If it is
+    exhausted first, a :class:`PartialSampleWarning` is emitted and the partial
+    result returned with ``complete=False``.
     """
-    if not 1 <= j_star <= prior.n_factors:
-        raise ContractViolation(f"j_star must be in [1, {prior.n_factors}], got {j_star}")
+    ref = prior.factor(j_star)
     if n_samples < 1:
         raise ContractViolation(f"n_samples must be >= 1, got {n_samples}")
-    ref = prior.ellipsoids[j_star - 1]
-    if bases is None:
-        if w_subspace is None:
-            raise ContractViolation("provide either precomputed bases or w_subspace")
-        bases = compute_suitable_bases(ref.subspace, w_subspace)
     if max_draws is None:
         max_draws = 100 * n_samples
+    if max_draws < n_samples:
+        raise ContractViolation(f"max_draws = {max_draws} is below n_samples = {n_samples}")
     gen = as_rng(rng)
     slice_ = build_slice(obs, ref, bases)
 
     others = [e for i, e in enumerate(prior.ellipsoids) if i != j_star - 1]
     accepted: list[np.ndarray] = []
-    n_draws = 0
-    while len(accepted) < n_samples and n_draws < max_draws:
-        chunk = min(n_samples - len(accepted), max_draws - n_draws)
+    n_accepted = n_draws = 0
+    while n_accepted < n_samples and n_draws < max_draws:
+        chunk = min(n_samples - n_accepted, max_draws - n_draws)
         batch = sample_slice(slice_, chunk, pi_dist, d_box, gen).vectors
         n_draws += chunk
-        keep = np.ones(chunk, dtype=bool)
         for e in others:
             bb = e.subspace.basis
-            resid = batch - (batch @ bb) @ bb.T
-            keep &= np.linalg.norm(resid, axis=1) <= e.width + ACCEPT_TOL
-        accepted.extend(batch[keep])
+            resid = np.linalg.norm(batch - (batch @ bb) @ bb.T, axis=1)
+            batch = batch[resid <= e.width + ACCEPT_TOL]
+        accepted.append(batch)
+        n_accepted += len(batch)
 
-    complete = len(accepted) >= n_samples
+    complete = n_accepted >= n_samples
     if not complete:
         warnings.warn(
-            f"collected {len(accepted)} of {n_samples} samples after {n_draws} draws",
+            f"collected {n_accepted} of {n_samples} samples after {n_draws} draws",
             PartialSampleWarning,
             stacklevel=2,
         )
-    if not accepted:
+    if not n_accepted:
         raise EmptySliceError(
             f"no draw out of {n_draws} satisfied all {prior.n_factors} prior factors"
         )
     return MultiSliceResult(
         samples=SnapshotSet(np.vstack(accepted)),
         n_draws=n_draws,
-        n_accepted=len(accepted),
+        n_accepted=n_accepted,
         complete=complete,
     )
 
@@ -329,36 +315,23 @@ def sample_posterior(
 ) -> SnapshotSet:
     """Posterior cloud: observe every manifold point and sample its slice.
 
-    Point i uses the derived stream (seed, i), so the output is independent of
-    iteration order and any one point can be re-drawn in isolation.  With a
-    multi-factor prior the reference factor defaults to the last (tightest)
-    one.
+    Every prior goes through :func:`sample_slice_multi`; the reference factor
+    defaults to the last (tightest) one.  Point i uses the derived stream
+    (seed, i), so the output is independent of iteration order and any one
+    point can be re-drawn in isolation.
     """
     if isinstance(prior, DegenerateEllipsoid):
         prior = PriorManifold((prior,))
-    if per_point < 1:
-        raise ContractViolation(f"per_point must be >= 1, got {per_point}")
-    multi = prior.n_factors > 1
     if j_star is None:
         j_star = prior.n_factors
-    if not 1 <= j_star <= prior.n_factors:
-        raise ContractViolation(f"j_star must be in [1, {prior.n_factors}], got {j_star}")
-    ref = prior.ellipsoids[j_star - 1]
-    bases = compute_suitable_bases(ref.subspace, w_subspace)
-
-    chunks = []
-    for i, h in enumerate(manifold_samples):
-        obs = observe(h, w_subspace)
-        gen = derived_rng(seed, i)
-        if multi:
-            res = sample_slice_multi(
-                obs, prior, j_star, per_point, max_draws_per_point,
-                pi_dist, d_box, gen, bases=bases,
-            )
-            chunks.append(res.samples.vectors)
-        else:
-            sl = build_slice(obs, ref, bases)
-            chunks.append(sample_slice(sl, per_point, pi_dist, d_box, gen).vectors)
+    bases = compute_suitable_bases(prior.factor(j_star).subspace, w_subspace)
+    chunks = [
+        sample_slice_multi(
+            observe(h, w_subspace), prior, j_star, per_point, max_draws_per_point,
+            pi_dist, d_box, derived_rng(seed, i), bases=bases,
+        ).samples.vectors
+        for i, h in enumerate(manifold_samples)
+    ]
     return SnapshotSet(np.vstack(chunks))
 
 

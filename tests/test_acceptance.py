@@ -127,7 +127,8 @@ def test_slice_sampler_soundness():
             + 0.3 * w2 * _unit_perp(rng, v2)
         )
         obs = observe(h, w)
-        res = sample_slice_multi(obs, prior, j_star=2, n_samples=200, rng=rng, w_subspace=w)
+        bases = compute_suitable_bases(v2, w)
+        res = sample_slice_multi(obs, prior, j_star=2, n_samples=200, rng=rng, bases=bases)
         if not res.complete:
             problems.append(f"nested trial {trial}: rejection sampler did not complete")
         obs_err = np.abs(w.basis.T @ res.samples.vectors.T - obs.values[:, None]).max()

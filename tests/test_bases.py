@@ -178,9 +178,10 @@ class TestErrorsAndEdges:
     def test_u_basis_is_lazy(self, rng):
         w, v = random_subspace_pair(rng, 12, 3, 4)
         sb = compute_suitable_bases(v, w)
-        assert sb._u_basis is None
+        assert "u_basis" not in vars(sb)
         u = sb.u_basis
-        assert sb._u_basis is not None
+        assert vars(sb)["u_basis"] is u
+        assert sb.u_basis is u
         assert u.shape == (12, sb.r)
 
     def test_w_star_coefficients_validates_shape(self, rng):

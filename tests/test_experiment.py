@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from partialrom.bases import compute_suitable_bases
 from partialrom.errors import ConfigError
 from partialrom.experiment import (
     CSV_HEADER,
@@ -222,6 +223,17 @@ class TestSyntheticRun:
         assert len(man["repetitions"]) == result.config.reps
         assert man["repetitions"][0]["n_posterior_single"] == 8 * 2
         assert RunConfig.from_dict(man["config"]) == result.config
+
+    def test_manifest_records_stability_factor(self, result):
+        # beta = sigma_q of (V, W) for the single-tube prior.  The synthetic
+        # world's weakest observed prior directions have cosine delta = 1e-2.
+        world = build_synthetic_world(
+            ambient_dim=24, n_max=10, k_hat=2, delta=1e-2, n_points=8, seed=77
+        )
+        sb = compute_suitable_bases(world.prior_subspace(6), world.observation_subspace(6))
+        assert sb.q == 6
+        assert result.manifest["beta"] == repr(float(sb.sigma[5]))
+        assert_allclose(float(result.manifest["beta"]), 1e-2, rtol=1e-12)
 
     def test_manifest_summary_statistics(self, result):
         summary = result.manifest["summary"]

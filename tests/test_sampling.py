@@ -53,19 +53,19 @@ class TestObserve:
 class TestPiDistribution:
     def test_degenerate_block_dimensions(self):
         gen = derived_rng(0)
-        assert PiDistribution.uniform_beta().draw(gen, 0, 5) == 0.0
-        assert PiDistribution.uniform_beta().draw(gen, 3, 0) == 1.0
+        assert np.array_equal(PiDistribution.uniform_beta().draw(gen, 0, 5, 3), np.zeros(3))
+        assert np.array_equal(PiDistribution.uniform_beta().draw(gen, 3, 0, 3), np.ones(3))
 
     def test_draws_in_unit_interval(self):
         gen = derived_rng(1)
         for dist_ in (PiDistribution.uniform_beta(), PiDistribution.mixture()):
-            draws = [dist_.draw(gen, 2, 4) for _ in range(200)]
-            assert all(0.0 <= x <= 1.0 for x in draws)
+            draws = dist_.draw(gen, 2, 4, 200)
+            assert draws.shape == (200,)
+            assert np.all((0.0 <= draws) & (draws <= 1.0))
 
     def test_mixture_concentrates_near_one(self):
         gen = derived_rng(2)
-        mix = PiDistribution.mixture(weight=0.9, scale=1e4)
-        draws = np.array([mix.draw(gen, 2, 4) for _ in range(500)])
+        draws = PiDistribution.mixture().draw(gen, 2, 4, 500)
         assert np.mean(draws > 0.99) > 0.6
 
     def test_from_name(self):
@@ -78,10 +78,6 @@ class TestPiDistribution:
     def test_validation(self):
         with pytest.raises(ContractViolation):
             PiDistribution(kind="other")
-        with pytest.raises(ContractViolation):
-            PiDistribution(kind="mixture", mixture_weight=1.5)
-        with pytest.raises(ContractViolation):
-            PiDistribution(kind="mixture", mixture_scale=0.0)
 
 
 class TestBuildSlice:
@@ -239,7 +235,7 @@ class TestSampleSliceMulti:
 
     def test_accepted_samples_satisfy_every_factor(self, rng):
         w, prior, obs = self.make_nested(rng)
-        res = sample_slice_multi(obs, prior, 2, 100, rng=5, w_subspace=w)
+        res = sample_slice_multi(obs, prior, 2, 100, rng=5, bases=_ref_bases(prior, 2, w))
         assert res.complete
         assert res.n_accepted == 100
         for s in res.samples:
@@ -266,7 +262,9 @@ class TestSampleSliceMulti:
         # draw budget then yields a partial (but nonempty) result.
         w, prior, obs = self.make_nested(rng, w1=0.04)
         with pytest.warns(PartialSampleWarning):
-            res = sample_slice_multi(obs, prior, 2, 200, max_draws=220, rng=42, w_subspace=w)
+            res = sample_slice_multi(
+                obs, prior, 2, 200, max_draws=220, rng=42, bases=_ref_bases(prior, 2, w)
+            )
         assert not res.complete
         assert 0 < res.n_accepted < 200
         assert res.n_draws == 220
@@ -282,18 +280,31 @@ class TestSampleSliceMulti:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", PartialSampleWarning)
             with pytest.raises(EmptySliceError):
-                sample_slice_multi(obs, prior, 2, 10, max_draws=50, rng=3, w_subspace=w)
+                sample_slice_multi(
+                    obs, prior, 2, 10, max_draws=50, rng=3, bases=_ref_bases(prior, 2, w)
+                )
 
     def test_argument_validation(self, rng):
         w, prior, obs = self.make_nested(rng)
+        sb = _ref_bases(prior, 2, w)
         with pytest.raises(ContractViolation):
-            sample_slice_multi(obs, prior, 0, 10, w_subspace=w)
+            sample_slice_multi(obs, prior, 0, 10, bases=sb)
         with pytest.raises(ContractViolation):
-            sample_slice_multi(obs, prior, 3, 10, w_subspace=w)
+            sample_slice_multi(obs, prior, 3, 10, bases=sb)
         with pytest.raises(ContractViolation):
-            sample_slice_multi(obs, prior, 2, 0, w_subspace=w)
-        with pytest.raises(ContractViolation):
-            sample_slice_multi(obs, prior, 2, 10)  # neither bases nor w_subspace
+            sample_slice_multi(obs, prior, 2, 0, bases=sb)
+
+    def test_draw_budget_below_sample_count_is_rejected(self, rng):
+        # A budget that cannot cover n_samples is an argument error, reported
+        # before any draw (not a warning followed by an empty-slice error).
+        w, prior, obs = self.make_nested(rng)
+        sb = _ref_bases(prior, 2, w)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", PartialSampleWarning)
+            for max_draws in (0, 9):
+                with pytest.raises(ContractViolation, match="max_draws"):
+                    sample_slice_multi(obs, prior, 2, 10, max_draws=max_draws, bases=sb)
+        assert sample_slice_multi(obs, prior, 2, 10, max_draws=10, rng=1, bases=sb).n_draws == 10
 
 
 class TestSamplePosterior:
@@ -343,6 +354,17 @@ class TestSamplePosterior:
         for j_star in (0, 2):
             with pytest.raises(ContractViolation):
                 sample_posterior(cloud, w, DegenerateEllipsoid(v, 0.1), per_point=1, j_star=j_star)
+
+    def test_single_tube_honours_draw_budget(self, rng):
+        # A single tube runs the same rejection path as a nested prior, so a
+        # per-point budget below per_point is rejected rather than ignored.
+        w, v = random_subspace_pair(rng, 10, 5, 3)
+        cloud = SnapshotSet((v.basis @ rng.standard_normal((3, 3))).T)
+        prior = DegenerateEllipsoid(v, 0.2)
+        with pytest.raises(ContractViolation, match="max_draws"):
+            sample_posterior(cloud, w, prior, per_point=5, max_draws_per_point=2)
+        out = sample_posterior(cloud, w, prior, per_point=5, max_draws_per_point=5)
+        assert len(out) == 15
 
 
 class TestUnionSetContains:
@@ -419,6 +441,10 @@ class TestUnionSetContains:
         h = 1e-4 * v.basis[:, 0]
         assert union_set_contains(h, t0, 1e-3, prior, sb)
         assert not union_set_contains(v.basis[:, 0], t0, 1e-3, prior, sb)
+
+
+def _ref_bases(prior, j_star, w):
+    return compute_suitable_bases(prior.factor(j_star).subspace, w)
 
 
 def _unit(rng, dim):
