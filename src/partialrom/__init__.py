@@ -12,6 +12,7 @@ from .bases import DecomposedVector, SuitableBases, compute_suitable_bases, deco
 from .bounds import (
     INF,
     BoundCurve,
+    certificate_widths,
     empirical_width,
     format_extended,
     posterior_width_bounds,

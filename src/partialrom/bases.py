@@ -33,6 +33,17 @@ from .errors import ContractViolation, InfeasibleGeometry
 from .geometry import Subspace, as_vector
 
 
+#: Default thresholds of :func:`principal_counts`: a principal cosine at or
+#: above 1 - TOL_ONE counts as 1, one at or below TOL_ZERO as 0.
+TOL_ONE = 1e-8
+TOL_ZERO = 1e-10
+
+
+def principal_counts(sigma: np.ndarray, tol_one: float, tol_zero: float) -> tuple[int, int]:
+    """(p, q): how many principal cosines count as 1 and how many as nonzero."""
+    return int(np.sum(sigma >= 1.0 - tol_one)), int(np.sum(sigma > tol_zero))
+
+
 @dataclass(eq=False)
 class SuitableBases:
     """Rotated-basis data for a (V, W) pair; construct via :func:`compute_suitable_bases`."""
@@ -113,8 +124,8 @@ class SuitableBases:
 def compute_suitable_bases(
     v_subspace: Subspace,
     w_subspace: Subspace,
-    tol_one: float = 1e-8,
-    tol_zero: float = 1e-10,
+    tol_one: float = TOL_ONE,
+    tol_zero: float = TOL_ZERO,
 ) -> SuitableBases:
     """Compute rotated bases and the four-way orthogonal split for (V, W).
 
@@ -150,8 +161,7 @@ def compute_suitable_bases(
         if z_rot[k, j] < 0:
             z_rot[:, j] = -z_rot[:, j]
 
-    p = int(np.sum(sigma >= 1.0 - tol_one))
-    q = int(np.sum(sigma > tol_zero))
+    p, q = principal_counts(sigma, tol_one, tol_zero)
     if m + n - p > n_amb:
         raise InfeasibleGeometry(
             f"m + n - p = {m + n - p} exceeds ambient dimension {n_amb}; "

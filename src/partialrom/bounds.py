@@ -14,8 +14,8 @@ bounds, indexed from ``k* = min(n, k + n - q)``:
 Infinite values are explicit ``math.inf`` states: they arise only from the
 branch structure, never from arithmetic (a sigma of zero maps straight to
 inf), and they serialize as the literal token ``inf``.  ``proof_subspace``
-realizes the subspace achieving the combined (pointwise-minimum) bound, which
-is how the bounds are verified empirically against sampled clouds.
+realizes the subspace achieving the combined (pointwise-minimum) bound, and
+``certificate_widths`` measures a sampled cloud against every one of them.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .bases import SuitableBases
 from .errors import ContractViolation
-from .geometry import SnapshotSet, Subspace, direct_sum
+from .geometry import SnapshotSet, Subspace, direct_sum, prefix_widths
 
 INF = math.inf
 
@@ -88,6 +88,8 @@ def posterior_width_bounds(
         raise ContractViolation(f"need 0 <= p <= q <= min(m, n), got p={p}, q={q}, m={m}, n={n}")
     if k < 0 or n < 1 or m < 1:
         raise ContractViolation("k must be >= 0 and m, n >= 1")
+    if k > n or m + n - p > ambient_dim:
+        raise ContractViolation(f"need k <= n, m + n - p <= N = {ambient_dim}: k={k}, n={n}, m={m}")
     if not (math.isfinite(eps) and math.isfinite(eps_prime)) or eps < 0 or eps_prime < 0:
         raise ContractViolation(f"widths must be finite and >= 0, got {eps}, {eps_prime}")
     if sigma.shape[0] < q:
@@ -119,54 +121,71 @@ def posterior_width_bounds(
     return BoundCurve(k_star=k_star, d_bar=tuple(d_bar), d_bbar=tuple(d_bbar))
 
 
+def _certificates(t_subspace: Subspace, bases: SuitableBases, i_values) -> list:
+    """For each certificate branch that ``i_values`` reach: its ordered orthonormal
+    basis and the (i, prefix length) pairs it certifies (see :func:`proof_subspace`)."""
+    n, q, k = bases.n, bases.q, t_subspace.dim
+    k_star = min(n, k + n - q)
+    v = bases.v_subspace.basis
+    if k and np.abs(t_subspace.basis - v @ (v.T @ t_subspace.basis)).max() > 1e-8:
+        raise ContractViolation("T must lie in the prior subspace V")
+    groups: dict[str, list[int]] = {}
+    for i in i_values:
+        if i >= k_star:
+            floor = i >= k + bases.ambient_dim - bases.m
+            groups.setdefault("floor" if floor else "prior" if i >= n else "middle", []).append(i)
+    out = []
+    for branch, indices in groups.items():
+        slack = 0  # how far the prefix length stays below i
+        if branch == "prior":
+            basis = v
+        elif branch == "floor":  # large orthonormal blocks go first: direct_sum loops over b
+            w_perp = Subspace(np.hstack([bases.w_tilde, bases.v_star_tail, bases.u_basis]))
+            basis = direct_sum(direct_sum(w_perp, t_subspace), Subspace(bases.v_star[:, :q])).basis
+        else:
+            head = direct_sum(Subspace(bases.v_star_tail), t_subspace)
+            slack = k_star - head.dim
+            wt = direct_sum(head, Subspace(bases.w_tilde[:, ::-1])).basis
+            basis = np.hstack([wt, bases.u_basis])  # u is orthogonal to V and to every wt
+        out.append((basis, [(i, min(i - slack, basis.shape[1])) for i in indices]))
+    return out
+
+
 def proof_subspace(i: int, t_subspace: Subspace, bases: SuitableBases) -> Subspace:
     """A subspace of dimension at most ``i`` certifying the combined bound.
 
-    The finite branches of the two bound sequences are achieved by different
-    subspace families, so the construction switches with ``i``:
+    Each finite branch of the two bound sequences has its own subspace family,
+    nested in ``i``; the certificate is a column prefix of the branch's basis:
 
-    * ``k* <= i < n`` — start from V* = T ⊕ span{v*_{q+1..n}} (dimension at
-      most k*), append the trailing interaction directions wt_q, wt_{q-1},
-      ... as ``i`` grows, then pad with leading residual-block directions;
-      this certifies (eps + eps') / sigma_{q-(i-k*)}.
-    * ``n <= i < k + (N - m)`` — the prior subspace V itself: everything in
-      the prior tube sits within eps' of it.
-    * ``i >= k + (N - m)`` — T ⊕ W⊥, padded with leading rotated prior
-      directions while the dimension budget allows; every state sharing
-      observations with the eps-tube around T sits within eps of it, and once
-      the padding completes V the eps' certificate holds as well.
+    * ``k* <= i < n`` — ONB(T ⊕ span{v*_{q+1..n}}) (dimension d <= k*), then
+      wt_q, wt_{q-1}, ..., then u_1, u_2, ...; the prefix of length i - k* + d
+      certifies (eps + eps') / sigma_{q-(i-k*)}.
+    * ``n <= i < k + (N - m)`` — V itself: the prior tube sits within eps' of it.
+    * ``i >= k + (N - m)`` — ONB(T ⊕ W⊥), then v*_1, v*_2, ... with dependent ones
+      dropped, up to length i; every state sharing observations with the
+      eps-tube around T sits within eps of T ⊕ W⊥, and once the padding
+      completes V the eps' certificate holds as well.  T must lie in V.
     """
-    n, q, p = bases.n, bases.q, bases.p
-    k = t_subspace.dim
-    k_star = min(n, k + n - q)
-    if i < k_star:
-        raise ContractViolation(f"i = {i} is below k* = {k_star}; no bound subspace is defined")
+    for basis, ((_, length),) in _certificates(t_subspace, bases, [i]):
+        return Subspace(basis[:, :length])
+    raise ContractViolation(f"i = {i} is below k*; no bound subspace is defined")
 
-    i_floor = k + (bases.ambient_dim - bases.m)
-    if i >= i_floor:
-        w_perp = np.hstack([bases.w_tilde, bases.v_star_tail, bases.u_basis])
-        out = t_subspace
-        if w_perp.shape[1]:
-            out = direct_sum(out, Subspace(w_perp))
-        for j in range(q):
-            if out.dim >= i:
-                break
-            out = direct_sum(out, Subspace(bases.v_star[:, j : j + 1]))
-    elif i >= n:
-        out = bases.v_subspace
-    else:
-        v_star_part = Subspace(bases.v_star_tail) if n > q else Subspace.zero(bases.ambient_dim)
-        out = direct_sum(t_subspace, v_star_part)
-        n_int = q - p
-        take = min(i - k_star, n_int)
-        if take:
-            out = direct_sum(out, Subspace(bases.w_tilde[:, n_int - take :]))
-        filler = min(max(0, i - k_star - n_int), bases.r)
-        if filler:
-            out = direct_sum(out, Subspace(bases.u_basis[:, :filler]))
-    if out.dim > i:
-        raise ContractViolation(f"constructed dimension {out.dim} exceeds i = {i}")
-    return out
+
+def certificate_widths(
+    cloud: SnapshotSet, t_subspace: Subspace, bases: SuitableBases, i_max: int
+) -> np.ndarray:
+    """``empirical_width(cloud, proof_subspace(i, ...))`` for i = 0..i_max.
+
+    Entries below k* are inf.  Each branch's widths come from one
+    (cancellation-free) :func:`prefix_widths` pass over its ordered basis.
+    """
+    widths = np.full(i_max + 1, INF)
+    norm_max = np.linalg.norm(cloud.vectors, axis=1).max()
+    for basis, prefixes in _certificates(t_subspace, bases, range(i_max + 1)):
+        by_length = np.concatenate([[norm_max], prefix_widths(cloud.vectors, basis)])
+        for i, length in prefixes:
+            widths[i] = by_length[length]
+    return widths
 
 
 def empirical_width(cloud: SnapshotSet, subspace: Subspace) -> float:

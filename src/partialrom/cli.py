@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .bases import TOL_ONE, TOL_ZERO, principal_counts
 from .bounds import format_extended, posterior_width_bounds
 from .errors import ConfigError, ContractViolation, EmptySliceError, InfeasibleGeometry
 from .experiment import RunConfig, _build_bundle, posterior_cloud, run_experiment
@@ -108,8 +109,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     if args.i_max is not None and args.i_max < 0:
         raise ConfigError(f"--i-max must be >= 0, got {args.i_max}")
     sigma = _parse_sigma(args)
-    p = int(np.sum(sigma >= 1.0 - 1e-8))
-    q = int(np.sum(sigma > 1e-10))
+    p, q = principal_counts(sigma, TOL_ONE, TOL_ZERO)
     curve = posterior_width_bounds(
         k=args.k,
         n=args.n,

@@ -125,6 +125,8 @@ class RunConfig:
                 raise ConfigError("eps_main, eps_perturb must be > 0 and n_points >= 1")
             if self.m > self.n_max or self.n > self.n_max:
                 raise ConfigError(f"m and n must not exceed n_max = {self.n_max}")
+            if (self.k_intrinsic or self.k_hat) > self.n:
+                raise ConfigError(f"k_intrinsic or k_hat exceeds n = {self.n}: T would not lie in V")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -141,7 +141,12 @@ def dist(h, subspace: Subspace) -> float:
 
 
 def direct_sum(a: Subspace, b: Subspace) -> Subspace:
-    """Span of the union of two subspaces (not required to be orthogonal)."""
+    """Span of the union of two subspaces (not required to be orthogonal).
+
+    The basis is a's columns followed by b's, orthonormalized against a and in
+    order, dependent ones dropped.  The Gram-Schmidt loop runs over b's columns,
+    so pass the large orthonormal block as ``a``.
+    """
     if a.ambient_dim != b.ambient_dim:
         raise ContractViolation("subspaces live in different ambient dimensions")
     extra = _mgs(b.basis, base=a.basis if a.dim else None)

@@ -45,6 +45,11 @@ DEFAULT_D_BOX = 10.0
 #: that draws from the reference slice are not lost to rounding noise.
 ACCEPT_TOL = 1e-9
 
+#: A deviation budget below 0 by at most (BUDGET_ULPS * m * eps_machine *
+#: ||a*||)^2 is rounding, not an inconsistent observation (a zero-width prior
+#: and a state in V leave sum_{j>q} a*_j^2 at that level), and counts as 0.
+BUDGET_ULPS = 4.0
+
 #: Share of ``mixture`` draws of pi pushed toward 1, and the factor their
 #: interaction chi-square sum is scaled by.
 MIXTURE_WEIGHT = 0.9
@@ -149,7 +154,8 @@ def build_slice(obs: Observation, prior: DegenerateEllipsoid, bases: SuitableBas
     ``bases`` must come from (prior.subspace, W) for the same W the observation
     was taken in.  A negative deviation budget marks an empty slice (the
     observed component outside V already exceeds the prior width); the slice is
-    still returned so callers can inspect it, but sampling it raises.
+    still returned so callers can inspect it, but sampling it raises.  A budget
+    negative only at rounding level (see ``BUDGET_ULPS``) is clamped to 0.
     """
     if bases.v_subspace is not prior.subspace and not np.array_equal(
         bases.v_subspace.basis, prior.subspace.basis
@@ -158,6 +164,8 @@ def build_slice(obs: Observation, prior: DegenerateEllipsoid, bases: SuitableBas
     a_star = bases.w_star_coefficients(obs.values)
     center = bases.slice_centers(a_star[None, :])[0]
     budget = float(prior.width**2 - np.sum(a_star[bases.q:] ** 2))
+    if 0.0 > budget >= -((BUDGET_ULPS * bases.m * np.finfo(float).eps) ** 2) * (a_star @ a_star):
+        budget = 0.0
     return EllipsoidSlice(
         center=center,
         bases=bases,

@@ -15,9 +15,9 @@ import numpy as np
 from conftest import random_subspace_pair
 from partialrom.bases import SuitableBases, compute_suitable_bases
 from partialrom.bounds import (
+    certificate_widths,
     empirical_width,
     posterior_width_bounds,
-    proof_subspace,
     width_degenerate_ellipsoid,
 )
 from partialrom.estimate import point_estimate
@@ -197,10 +197,11 @@ def test_posterior_cloud_respects_width_bounds():
         curve = posterior_width_bounds(
             k, n, ambient, eps, eps_prime, bases.sigma, bases.p, bases.q, m, i_max=i_max
         )
+        widths = certificate_widths(cloud, t_sub, bases, i_max)
         for i, bound in enumerate(curve.combined):
             if not math.isfinite(bound):
                 continue
-            width = empirical_width(cloud, proof_subspace(i, t_sub, bases))
+            width = widths[i]
             if width > bound + 1e-6:
                 problems.append(
                     f"trial {trial}: width {width:.4e} exceeds bound {bound:.4e} at i={i}"

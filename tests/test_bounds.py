@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import random_subspace_pair
+from conftest import prescribed_pair, random_subspace_pair
 from partialrom.bases import compute_suitable_bases
 from partialrom.bounds import (
     INF,
     BoundCurve,
+    certificate_widths,
     empirical_width,
     format_extended,
     posterior_width_bounds,
@@ -18,7 +19,7 @@ from partialrom.bounds import (
     width_degenerate_ellipsoid,
 )
 from partialrom.errors import ContractViolation
-from partialrom.geometry import SnapshotSet, Subspace, dist
+from partialrom.geometry import SnapshotSet, Subspace, direct_sum, dist, orthonormalize
 
 
 class TestFormatExtended:
@@ -131,6 +132,12 @@ class TestPosteriorWidthBounds:
             posterior_width_bounds(2, 2, 10, -0.1, 0.1, sig, p=0, q=2, m=2)
         with pytest.raises(ContractViolation):
             posterior_width_bounds(2, 2, 10, 0.1, 0.1, np.array([1.0]), p=0, q=2, m=2)
+        # k > n, and m + n - p above the ambient dimension (N = -5, then N = 3).
+        with pytest.raises(ContractViolation):
+            posterior_width_bounds(3, 2, 10, 0.1, 0.1, sig, p=0, q=2, m=2)
+        for ambient in (-5, 3):
+            with pytest.raises(ContractViolation):
+                posterior_width_bounds(1, 2, ambient, 0.1, 0.1, sig, p=0, q=2, m=2)
 
     @pytest.mark.parametrize(
         "bad",
@@ -231,6 +238,91 @@ class TestProofSubspace:
             assert full.contains(col, tol=1e-8)
 
 
+def per_i_proof_subspace(i: int, t_subspace: Subspace, bases) -> Subspace:
+    """The certificate assembled from scratch for one i by chains of
+    ``direct_sum``: the reference the nested branch bases must reproduce."""
+    n, q, p = bases.n, bases.q, bases.p
+    k = t_subspace.dim
+    k_star = min(n, k + n - q)
+    if i < k_star:
+        raise ContractViolation(f"i = {i} is below k* = {k_star}")
+    if i >= k + (bases.ambient_dim - bases.m):
+        w_perp = np.hstack([bases.w_tilde, bases.v_star_tail, bases.u_basis])
+        out = t_subspace
+        if w_perp.shape[1]:
+            out = direct_sum(out, Subspace(w_perp))
+        for j in range(q):
+            if out.dim >= i:
+                break
+            out = direct_sum(out, Subspace(bases.v_star[:, j : j + 1]))
+        return out
+    if i >= n:
+        return bases.v_subspace
+    v_star_part = Subspace(bases.v_star_tail) if n > q else Subspace.zero(bases.ambient_dim)
+    out = direct_sum(t_subspace, v_star_part)
+    n_int = q - p
+    take = min(i - k_star, n_int)
+    if take:
+        out = direct_sum(out, Subspace(bases.w_tilde[:, n_int - take :]))
+    filler = min(max(0, i - k_star - n_int), bases.r)
+    if filler:
+        out = direct_sum(out, Subspace(bases.u_basis[:, :filler]))
+    return out
+
+
+def _projector(sub: Subspace) -> np.ndarray:
+    return sub.basis @ sub.basis.T
+
+
+#: (m, n, p, q, r, T), T spanned by rows of coefficients on the rotated prior basis v*.
+PARITY_GEOMETRIES = {
+    "t-is-v1": (4, 5, 1, 3, 2, [[1, 0, 0, 0, 0]]),
+    "t-meets-unobserved": (4, 5, 1, 3, 2, [[0, 0, 0, 0, 1], [1, 0, 0, 0, 1]]),
+    "t-is-v": (3, 4, 1, 3, 2, np.eye(4)),
+    "k-zero": (4, 5, 1, 3, 2, np.zeros((0, 5))),
+    "p-equals-q": (4, 5, 2, 2, 2, [[1, 0, 0, 0, 0], [0, 0, 1, 1, 0]]),
+    "r-zero": (4, 5, 1, 3, 0, [[1, 1, 0, 0, 0]]),
+    "m-above-n": (6, 3, 0, 3, 2, [[1, 0, 0], [0, 1, 1]]),
+    "n-above-m": (2, 6, 0, 2, 3, [[0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 1]]),
+    "shared-directions": (5, 5, 3, 4, 1, [[1, 0, 0, 0, 0], [0, 0, 0, 1, 0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_GEOMETRIES))
+def test_nested_certificates_match_per_i_construction(name):
+    m, n, p, q, r, t_coeffs = PARITY_GEOMETRIES[name]
+    rng = np.random.default_rng(sorted(PARITY_GEOMETRIES).index(name))
+    w, v = prescribed_pair(rng, m, n, p, q, r)
+    sb = compute_suitable_bases(v, w)
+    assert (sb.p, sb.q, sb.r) == (p, q, r)
+    t_rows = np.asarray(t_coeffs, dtype=float) @ sb.v_star.T
+    t = orthonormalize(t_rows, sb.ambient_dim)
+    cloud = SnapshotSet(rng.standard_normal((30, sb.ambient_dim)))
+    i_max = t.dim + sb.ambient_dim - m + 2
+    widths = certificate_widths(cloud, t, sb, i_max)
+    assert widths.shape == (i_max + 1,)
+    for i in range(i_max + 1):
+        try:
+            ref = per_i_proof_subspace(i, t, sb)
+        except ContractViolation:
+            with pytest.raises(ContractViolation):
+                proof_subspace(i, t, sb)
+            assert widths[i] == INF
+            continue
+        sub = proof_subspace(i, t, sb)
+        assert sub.dim == ref.dim <= i
+        assert np.abs(_projector(sub) - _projector(ref)).max() <= 1e-10
+        width = empirical_width(cloud, sub)
+        assert abs(widths[i] - width) <= 1e-12 * max(1.0, width)
+
+
+def test_proof_subspace_rejects_t_outside_v(rng):
+    w, v = random_subspace_pair(rng, 12, 4, 3)
+    sb = compute_suitable_bases(v, w)
+    with pytest.raises(ContractViolation):
+        proof_subspace(sb.n, Subspace(w.basis[:, :1]), sb)
+
+
 class TestEmpiricalWidth:
     def test_matches_max_residual(self, rng):
         cloud = SnapshotSet(rng.standard_normal((12, 9)))
@@ -270,8 +362,7 @@ class TestBoundsAgainstSampledCloud:
             k=k, n=n, ambient_dim=n_amb, eps=eps, eps_prime=eps_prime,
             sigma=sb.sigma, p=sb.p, q=sb.q, m=m, i_max=k + (n_amb - m),
         )
+        widths = certificate_widths(cloud, t, sb, bc.i_max)
         for i, bound in enumerate(bc.combined):
-            if math.isinf(bound):
-                continue
-            width = empirical_width(cloud, proof_subspace(i, t, sb))
-            assert width <= bound + 1e-6
+            if not math.isinf(bound):
+                assert widths[i] <= bound + 1e-6

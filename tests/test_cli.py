@@ -130,6 +130,18 @@ class TestBounds:
         assert main(args) == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "k, n, ambient", [("2", "3", "-5"), ("6", "4", "10")], ids=["negative-ambient", "k-above-n"]
+    )
+    def test_impossible_geometry_exits_numerical(self, k, n, ambient, capsys):
+        # --i-max is explicit, so a negative --ambient is not caught as a negative i_max.
+        args = [
+            "bounds", "--k", k, "--n", n, "--m", "3", "--ambient", ambient,
+            "--eps", "1e-3", "--eps-prime", "0.1", "--sigma", "1,0.5,0.2", "--i-max", "5",
+        ]
+        assert main(args) == 3
+        assert "numerical failure" in capsys.readouterr().err
+
 
 class TestRunCommands:
     def test_setup2_writes_outputs(self, tmp_path, capsys):
@@ -175,6 +187,12 @@ class TestRunCommands:
         args = ["setup2", "--out", str(second), "--from-manifest", str(first / "manifest.json")]
         assert main(args) == 0
         assert (first / "curves.csv").read_bytes() == (second / "curves.csv").read_bytes()
+
+    def test_setup2_t_outside_v_exits_config(self, tmp_path, capsys):
+        args = tiny_setup2_args(tmp_path / "run") + ["--k-intrinsic", "30"]
+        assert main(args) == 2
+        assert "k_intrinsic" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "curves.csv").exists()
 
     def test_manifest_setup_mismatch(self, tmp_path, capsys):
         run2 = tmp_path / "run2"

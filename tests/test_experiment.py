@@ -91,6 +91,11 @@ class TestRunConfig:
             synthetic_defaults(delta=1.5).validate()
         with pytest.raises(ConfigError):
             synthetic_defaults(m=60).validate()
+        # T = span of the first k prior directions must lie in V (dimension n).
+        with pytest.raises(ConfigError):
+            synthetic_defaults(n=4, k_hat=5).validate()
+        with pytest.raises(ConfigError):
+            synthetic_defaults(k_intrinsic=30).validate()
 
     def test_from_dict_coerces_strings(self):
         cfg = RunConfig.from_dict({"setup": "2", "seed": "9", "d_box": "2.5", "pi": "mixture"})

@@ -113,6 +113,35 @@ class TestBuildSlice:
         with pytest.raises(EmptySliceError):
             sample_slice(sl, 5)
 
+    def test_zero_width_prior_admits_states_in_v(self):
+        # With m > q the observed components outside V are rounding noise,
+        # not an inconsistency: the budget is clamped to 0 and sampling works.
+        for trial in range(100):
+            rng = derived_rng(5005, trial)
+            w, v = random_subspace_pair(rng, 12, 6, 3)
+            sb = compute_suitable_bases(v, w)
+            h = v.basis @ rng.standard_normal(3)
+            obs = observe(h, w)
+            sl = build_slice(obs, DegenerateEllipsoid(v, 0.0), sb)
+            assert sl.radius_sq_budget == 0.0
+            for s in sample_slice(sl, 5, rng=trial):
+                assert np.linalg.norm(w.basis.T @ s - obs.values) <= 1e-13 * np.linalg.norm(h)
+                assert dist(s, v) <= 1e-13 * np.linalg.norm(h)
+
+    def test_zero_width_prior_rejects_state_off_v(self):
+        # An offset of 1e-10 ||h|| off V is far above rounding: still empty.
+        for trial in range(100):
+            rng = derived_rng(5006, trial)
+            w, v = random_subspace_pair(rng, 12, 6, 3)
+            sb = compute_suitable_bases(v, w)
+            h = v.basis @ rng.standard_normal(3)
+            off = rng.standard_normal(12)
+            off -= v.basis @ (v.basis.T @ off)
+            h += off * (1e-10 * np.linalg.norm(h) / np.linalg.norm(off))
+            sl = build_slice(observe(h, w), DegenerateEllipsoid(v, 0.0), sb)
+            with pytest.raises(EmptySliceError):
+                sample_slice(sl, 5, rng=trial)
+
     def test_bases_must_come_from_prior_subspace(self, rng):
         w, v = random_subspace_pair(rng, 10, 4, 3)
         other = Subspace(random_orthonormal(rng, 10, 3))

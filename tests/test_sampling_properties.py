@@ -5,7 +5,8 @@ cosines equal to 1, q - p strictly between 0 and 1, the rest 0, and an r-dim
 W⊥ ∩ V⊥.  Among the examples are p = q (no interaction block), r = 0, q = n (no
 unobserved prior directions), m > n, n > m, a zero deviation budget and a
 nested two-tube prior.  Every draw must reproduce its observation and stay in
-every tube of the prior.
+every tube of the prior, and every finite combined width bound must hold on the
+sampled posterior with a certificate of dimension at most i.
 """
 
 import warnings
@@ -14,7 +15,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import prescribed_pair
 from partialrom.bases import compute_suitable_bases
+from partialrom.bounds import certificate_widths, posterior_width_bounds, proof_subspace
 from partialrom.errors import PartialSampleWarning
 from partialrom.geometry import DegenerateEllipsoid, PriorManifold, SnapshotSet, Subspace, dist
 from partialrom.sampling import (
@@ -51,18 +54,9 @@ def geometries(draw):
 
 def _build(g):
     """W, V and a state h whose observation the prior admits."""
-    m, n, p, q, r = g["m"], g["n"], g["p"], g["q"], g["r"]
     rng = np.random.default_rng(g["seed"])
-    ambient = m + n - p + r
-    e = np.linalg.qr(rng.standard_normal((ambient, ambient)))[0]
-    cosines = np.concatenate([np.ones(p), rng.uniform(0.05, 0.95, q - p), np.zeros(n - q)])
-    # Column j of V is cos_j w_j (j < min(m, n)) plus, for j >= p, sin_j times
-    # its own direction outside W.
-    k = min(m, n)
-    v = np.zeros((ambient, n))
-    v[:, :k] = e[:, :k] * cosines[:k]
-    v[:, p:] += e[:, m : m + n - p] * np.sqrt(1.0 - cosines[p:] ** 2)
-    w_sub, v_sub = Subspace(e[:, :m]), Subspace(v)
+    w_sub, v_sub = prescribed_pair(rng, g["m"], g["n"], g["p"], g["q"], g["r"])
+    ambient, v = w_sub.ambient_dim, v_sub.basis
     eps_prime = 0.0 if g["zero_budget"] else rng.uniform(0.01, 1.0)
     perp = np.zeros(ambient)
     if not g["zero_budget"]:
@@ -70,7 +64,7 @@ def _build(g):
         off_v -= v @ (v.T @ off_v)
         if np.linalg.norm(off_v) > 1e-8:
             perp = off_v * (rng.uniform(0.0, 0.5) * eps_prime / np.linalg.norm(off_v))
-    h = v @ rng.standard_normal(n) + perp
+    h = v @ rng.standard_normal(g["n"]) + perp
     return w_sub, v_sub, eps_prime, h
 
 
@@ -113,3 +107,33 @@ def test_draws_reproduce_observation_and_stay_in_every_tube(g):
             SnapshotSet(h[None, :]), w_sub, prior, 10, pi, g["d_box"], seed=g["seed"]
         )
     _assert_sound(cloud, obs, w_sub, prior)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(geometries(), st.integers(0, 5))
+def test_certificates_respect_combined_width_bound(g, k):
+    w_sub, v_sub, eps_prime, _ = _build(g)
+    sb = compute_suitable_bases(v_sub, w_sub)
+    k = min(k, sb.n)
+    t_sub = Subspace(v_sub.basis[:, :k])
+    rng = np.random.default_rng(g["seed"] + 1)
+    # Manifold points within eps' / 2 of T ⊆ V, so the prior admits them.
+    noise = rng.standard_normal((5, sb.ambient_dim))
+    noise *= (0.5 * eps_prime * rng.random(5) / np.linalg.norm(noise, axis=1))[:, None]
+    manifold = SnapshotSet(rng.standard_normal((5, k)) @ t_sub.basis.T + noise)
+    eps = float(manifold.residual_norms(t_sub).max())
+    tube = DegenerateEllipsoid(v_sub, eps_prime)
+    cloud = sample_posterior(
+        manifold, w_sub, PriorManifold((tube,)), 20, d_box=g["d_box"], seed=g["seed"]
+    )
+
+    i_max = k + sb.ambient_dim - sb.m + 2
+    curve = posterior_width_bounds(
+        k, sb.n, sb.ambient_dim, eps, eps_prime, sb.sigma, sb.p, sb.q, sb.m, i_max=i_max
+    )
+    widths = certificate_widths(cloud, t_sub, sb, i_max)
+    for i, bound in enumerate(curve.combined):
+        assert np.isinf(widths[i]) == (i < curve.k_star)
+        if i >= curve.k_star:
+            assert proof_subspace(i, t_sub, sb).dim <= i
+            assert widths[i] <= bound + 1e-6
