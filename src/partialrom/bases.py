@@ -81,9 +81,9 @@ class SuitableBases:
         """Columns v*_{q+1..n}: the part of V inside W⊥."""
         return self.v_star[:, self.q:]
 
-    @property
+    @functools.cached_property
     def complement_onb(self) -> np.ndarray:
-        """Orthonormal basis of (W⊥ ∩ V⊥)⊥ = W ⊕ P_W⊥(V).
+        """Orthonormal basis of (W⊥ ∩ V⊥)⊥ = W ⊕ P_W⊥(V), built on first access.
 
         The blocks w*, wt and v*_{q+1..n} are mutually orthogonal, so their
         concatenation is an ONB of the complement without extra work.  (The

@@ -15,9 +15,10 @@ directions ``v*_{q+1..n}``, and a component z in W⊥ ∩ V⊥, constrained by
 ``sample_slice`` draws from one slice, each block for all samples at once as
 arrays.  ``sample_slice_multi`` samples a prior of one or more ellipsoids by
 drawing from a reference factor's slice and rejecting draws outside the other
-factors; a single tube has no other factor, so its first chunk is accepted
-whole.  ``sample_posterior`` runs it over a cloud of manifold points with
-per-point derived streams.
+factors.  ``sample_posterior`` samples a cloud of manifold points: a single
+tube in one batched pass over all points, a prior of several tubes with one
+``sample_slice_multi`` call per point.  Point i draws from the derived stream
+(seed, i) alone; its values match a one-point redraw up to rounding.
 """
 
 from __future__ import annotations
@@ -148,38 +149,103 @@ class EllipsoidSlice:
         return self.radius_sq_budget < 0.0
 
 
+def _deviation_budgets(a_star: np.ndarray, width: float, bases: SuitableBases) -> np.ndarray:
+    """Squared deviation budgets ``width^2 - sum_{j>q} a*_j^2`` for rows of
+    w*-coefficients, (count, m) -> (count,).
+
+    A budget negative only at rounding level (see ``BUDGET_ULPS``) is clamped
+    to 0; one below that marks an empty slice.
+    """
+    budgets = width**2 - np.sum(a_star[:, bases.q:] ** 2, axis=1)
+    floor = -((BUDGET_ULPS * bases.m * np.finfo(float).eps) ** 2) * np.sum(a_star**2, axis=1)
+    budgets[(budgets < 0.0) & (budgets >= floor)] = 0.0
+    return budgets
+
+
 def build_slice(obs: Observation, prior: DegenerateEllipsoid, bases: SuitableBases) -> EllipsoidSlice:
     """Characterize the slice of ``prior`` cut out by ``obs``.
 
     ``bases`` must come from (prior.subspace, W) for the same W the observation
     was taken in.  A negative deviation budget marks an empty slice (the
     observed component outside V already exceeds the prior width); the slice is
-    still returned so callers can inspect it, but sampling it raises.  A budget
-    negative only at rounding level (see ``BUDGET_ULPS``) is clamped to 0.
+    still returned so callers can inspect it, but sampling it raises.  The
+    budget is that of :func:`_deviation_budgets`.
     """
     if bases.v_subspace is not prior.subspace and not np.array_equal(
         bases.v_subspace.basis, prior.subspace.basis
     ):
         raise ContractViolation("bases were not computed from the prior subspace")
     a_star = bases.w_star_coefficients(obs.values)
-    center = bases.slice_centers(a_star[None, :])[0]
-    budget = float(prior.width**2 - np.sum(a_star[bases.q:] ** 2))
-    if 0.0 > budget >= -((BUDGET_ULPS * bases.m * np.finfo(float).eps) ** 2) * (a_star @ a_star):
-        budget = 0.0
     return EllipsoidSlice(
-        center=center,
+        center=bases.slice_centers(a_star[None, :])[0],
         bases=bases,
         w_star_coeffs=a_star,
-        radius_sq_budget=budget,
+        radius_sq_budget=float(_deviation_budgets(a_star[None, :], prior.width, bases)[0]),
         width=prior.width,
     )
 
 
 def _rows_with_norms(x: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """Rescale each row of ``x`` to the given norm; a zero row stays zero."""
+    """Rescale each row of ``x`` in place to the given norm; a zero row stays zero."""
     current = np.linalg.norm(x, axis=1)
-    scale = np.divide(norms, current, out=np.zeros_like(current), where=current > 0)
-    return x * scale[:, None]
+    x *= np.divide(norms, current, out=np.zeros_like(current), where=current > 0)[:, None]
+    return x
+
+
+class _SliceDraws:
+    """The random blocks of ``count`` slice draws, one row per draw.
+
+    :meth:`fill` draws the blocks of one slice into a range of rows from that
+    slice's stream; :meth:`add_to` turns every row into a deviation from its
+    slice center in one pass over all rows.
+    """
+
+    def __init__(self, bases: SuitableBases, count: int, pi_dist: PiDistribution | None, d_box: float):
+        if count < 1:
+            raise ContractViolation(f"n_samples must be >= 1, got {count}")
+        if d_box < 0:
+            raise ContractViolation(f"d_box must be >= 0, got {d_box}")
+        self.bases = bases
+        self.pi_dist = pi_dist or PiDistribution.uniform_beta()
+        self.d_box = d_box
+        self.n_int = bases.q - bases.p      # interaction block dimension
+        self.n_res = bases.r                # dim(W⊥ ∩ V⊥)
+        self.n_tail = bases.n - bases.q     # unobserved prior directions
+        self.pi = np.zeros(count)
+        self.gamma = np.zeros(count)
+        self.dirs = np.empty((count, self.n_int))
+        self.gauss = np.empty((count, bases.ambient_dim if self.n_res else 0))
+        self.tail = np.empty((count, self.n_tail))
+
+    def fill(self, rows: slice, gen: np.random.Generator, budget: float) -> None:
+        """Draw one slice's blocks into ``rows``: pi, gamma, the directions,
+        the N-vector Gaussian and the tail, in that stream order."""
+        n = self.pi[rows].shape[0]
+        if self.n_int or self.n_res:
+            self.pi[rows] = self.pi_dist.draw(gen, self.n_int, self.n_res, n)
+            self.gamma[rows] = gen.uniform(0.0, budget, size=n)
+            if self.n_int:
+                gen.standard_normal(out=self.dirs[rows])
+            if self.n_res:
+                gen.standard_normal(out=self.gauss[rows])
+        if self.n_tail:
+            self.tail[rows] = gen.uniform(-self.d_box, self.d_box, size=(n, self.n_tail))
+
+    def add_to(self, out: np.ndarray) -> np.ndarray:
+        """Add every row's deviation to ``out`` (the rows' slice centers) in
+        place; the blocks are overwritten on the way."""
+        b = self.bases
+        if self.n_int:
+            coeffs = _rows_with_norms(self.dirs, np.sqrt(self.gamma) * self.pi)
+            out -= (coeffs / b.sigma[b.p : b.q]) @ b.w_tilde.T  # along sigma_j^{-1} wt_j
+        if self.n_res:
+            comp = b.complement_onb
+            g = self.gauss
+            g -= (g @ comp) @ comp.T
+            out += _rows_with_norms(g, np.sqrt(self.gamma * (1.0 - self.pi**2)))
+        if self.n_tail:
+            out += self.tail @ b.v_star_tail.T
+        return out
 
 
 def sample_slice(
@@ -199,37 +265,14 @@ def sample_slice(
     unobserved prior directions.  Every output reproduces the observation
     exactly and stays within the prior width.
     """
-    if n_samples < 1:
-        raise ContractViolation(f"n_samples must be >= 1, got {n_samples}")
-    if d_box < 0:
-        raise ContractViolation(f"d_box must be >= 0, got {d_box}")
+    draws = _SliceDraws(slice_.bases, n_samples, pi_dist, d_box)
     if slice_.is_empty:
         raise EmptySliceError(
             f"slice has negative squared budget {slice_.radius_sq_budget:.3e}; "
             "the observation is inconsistent with the prior"
         )
-    pi_dist = pi_dist or PiDistribution.uniform_beta()
-    gen = as_rng(rng)
-    b = slice_.bases
-    n_int = b.q - b.p          # interaction block dimension
-    n_tail = b.n - b.q         # unobserved prior directions
-    n_res = b.r                # dim(W⊥ ∩ V⊥)
-
-    out = np.tile(slice_.center, (n_samples, 1))
-    if n_int or n_res:
-        pi = pi_dist.draw(gen, n_int, n_res, n_samples)
-        gamma = gen.uniform(0.0, slice_.radius_sq_budget, size=n_samples)
-        if n_int:
-            dirs = gen.standard_normal((n_samples, n_int))
-            coeffs = _rows_with_norms(dirs, np.sqrt(gamma) * pi)
-            out -= (coeffs / b.sigma[b.p : b.q]) @ b.w_tilde.T  # along sigma_j^{-1} wt_j
-        if n_res:
-            comp = b.complement_onb
-            g = gen.standard_normal((n_samples, b.ambient_dim))
-            out += _rows_with_norms(g - (g @ comp) @ comp.T, np.sqrt(gamma * (1.0 - pi**2)))
-    if n_tail:
-        out += gen.uniform(-d_box, d_box, size=(n_samples, n_tail)) @ b.v_star_tail.T
-    return SnapshotSet(out)
+    draws.fill(slice(None), as_rng(rng), slice_.radius_sq_budget)
+    return SnapshotSet(draws.add_to(np.tile(slice_.center, (n_samples, 1))))
 
 
 @dataclass(frozen=True)
@@ -244,6 +287,17 @@ class MultiSliceResult:
     @property
     def acceptance_ratio(self) -> float:
         return self.n_accepted / self.n_draws if self.n_draws else 0.0
+
+
+def _draw_limit(n_samples: int, max_draws: int | None) -> int:
+    """The draw budget for ``n_samples`` accepted samples (default ``100 * n_samples``)."""
+    if n_samples < 1:
+        raise ContractViolation(f"n_samples must be >= 1, got {n_samples}")
+    if max_draws is None:
+        return 100 * n_samples
+    if max_draws < n_samples:
+        raise ContractViolation(f"max_draws = {max_draws} is below n_samples = {n_samples}")
+    return max_draws
 
 
 def sample_slice_multi(
@@ -268,12 +322,7 @@ def sample_slice_multi(
     result returned with ``complete=False``.
     """
     ref = prior.factor(j_star)
-    if n_samples < 1:
-        raise ContractViolation(f"n_samples must be >= 1, got {n_samples}")
-    if max_draws is None:
-        max_draws = 100 * n_samples
-    if max_draws < n_samples:
-        raise ContractViolation(f"max_draws = {max_draws} is below n_samples = {n_samples}")
+    max_draws = _draw_limit(n_samples, max_draws)
     gen = as_rng(rng)
     slice_ = build_slice(obs, ref, bases)
 
@@ -323,24 +372,51 @@ def sample_posterior(
 ) -> SnapshotSet:
     """Posterior cloud: observe every manifold point and sample its slice.
 
-    Every prior goes through :func:`sample_slice_multi`; the reference factor
-    defaults to the last (tightest) one.  Point i uses the derived stream
-    (seed, i), so the output is independent of iteration order and any one
-    point can be re-drawn in isolation.
+    Point i draws from the derived stream (seed, i) alone, so its random
+    numbers do not depend on the other points or on the iteration order, and
+    re-drawing that point on its own gives its samples again to rounding.
+
+    A single tube is sampled in one batched pass: every point's observation,
+    slice center and budget come from one array operation each, each point
+    draws its blocks from its own stream into its rows (as
+    :func:`sample_slice` does), and the rows become states in one pass.  A
+    prior of several tubes runs :func:`sample_slice_multi`'s rejection loop
+    point by point; the reference factor defaults to the last (tightest) one.
     """
     if isinstance(prior, DegenerateEllipsoid):
         prior = PriorManifold((prior,))
     if j_star is None:
         j_star = prior.n_factors
-    bases = compute_suitable_bases(prior.factor(j_star).subspace, w_subspace)
-    chunks = [
-        sample_slice_multi(
-            observe(h, w_subspace), prior, j_star, per_point, max_draws_per_point,
-            pi_dist, d_box, derived_rng(seed, i), bases=bases,
-        ).samples.vectors
-        for i, h in enumerate(manifold_samples)
-    ]
-    return SnapshotSet(np.vstack(chunks))
+    ref = prior.factor(j_star)
+    bases = compute_suitable_bases(ref.subspace, w_subspace)
+    if prior.n_factors > 1:
+        chunks = [
+            sample_slice_multi(
+                observe(h, w_subspace), prior, j_star, per_point, max_draws_per_point,
+                pi_dist, d_box, derived_rng(seed, i), bases=bases,
+            ).samples.vectors
+            for i, h in enumerate(manifold_samples)
+        ]
+        return SnapshotSet(np.vstack(chunks))
+
+    # One tube: no draw is rejected, so the budget only has to admit per_point.
+    _draw_limit(per_point, max_draws_per_point)
+    n_points = len(manifold_samples)
+    draws = _SliceDraws(bases, n_points * per_point, pi_dist, d_box)
+    a_star = observe_cloud(manifold_samples, w_subspace) @ bases.w_rotation
+    budgets = _deviation_budgets(a_star, ref.width, bases)
+    empty = np.flatnonzero(budgets < 0.0)
+    if empty.size:
+        i = int(empty[0])
+        raise EmptySliceError(
+            f"manifold point {i}: slice has negative squared budget {budgets[i]:.3e}; "
+            "the observation is inconsistent with the prior"
+        )
+    for i in range(n_points):
+        draws.fill(slice(i * per_point, (i + 1) * per_point), derived_rng(seed, i), budgets[i])
+    out = np.empty((n_points * per_point, bases.ambient_dim))
+    out.reshape(n_points, per_point, -1)[:] = bases.slice_centers(a_star)[:, None, :]
+    return SnapshotSet(draws.add_to(out))
 
 
 def union_set_contains(

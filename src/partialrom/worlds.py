@@ -140,7 +140,13 @@ def build_thermal_world(
     n_prior: int = 25,
     flux: float = 1.0,
 ) -> ThermalWorld:
-    """Solve the target and relaxed manifolds and run the prior greedy."""
+    """Solve the target and relaxed manifolds and run the prior greedy.
+
+    The relaxed cloud is the relaxed grid plus every constrained-grid θ it
+    lacks, so each target state is also a relaxed state: ``model.solve`` runs
+    once per distinct θ (θ rounded to 12 decimals), and ``m_cloud`` takes its
+    rows from the relaxed states.
+    """
     if t_steps < 1:
         raise ContractViolation(f"t_steps must be >= 1, got {t_steps}")
     if theta_min <= 0 or theta_step <= 0:
@@ -149,12 +155,18 @@ def build_thermal_world(
     relax_thetas = relaxed_theta_grid(theta_min, theta_step, t_steps, relax_max)
     # The target states are relaxed states too; include them so the empirical
     # widths cover the target manifold exactly.
-    seen = {tuple(np.round(t, 12)) for t in relax_thetas}
-    extra = [t for t in m_thetas if tuple(np.round(t, 12)) not in seen]
+    row_of = {tuple(np.round(t, 12)): i for i, t in enumerate(relax_thetas)}
+    extra, m_rows = [], []
+    for t in m_thetas:
+        key = tuple(np.round(t, 12))
+        if key not in row_of:
+            row_of[key] = len(relax_thetas) + len(extra)
+            extra.append(t)
+        m_rows.append(row_of[key])
     all_relax = np.vstack([relax_thetas, extra]) if extra else relax_thetas
 
     relax_states = np.vstack([model.solve(t, flux=flux) for t in all_relax])
-    m_states = np.vstack([model.solve(t, flux=flux) for t in m_thetas])
+    m_states = relax_states[m_rows]
     relax_cloud = SnapshotSet(relax_states)
     gr = greedy(relax_cloud, StoppingRule(max_dim=n_prior))
     return ThermalWorld(

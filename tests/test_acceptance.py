@@ -302,7 +302,7 @@ def test_sampling_cost_scales_linearly_in_ambient_dim(monkeypatch):
 
     monkeypatch.setattr(SuitableBases, "u_basis", property(forbid))
 
-    def posterior_time(ambient):
+    def posterior_run(ambient):
         rng = derived_rng(8008, ambient)
         w, v = random_subspace_pair(rng, ambient, 20, 20)
         coords = rng.standard_normal((20, 20))
@@ -310,18 +310,19 @@ def test_sampling_cost_scales_linearly_in_ambient_dim(monkeypatch):
         prior = DegenerateEllipsoid(v, 0.1)
 
         def run():
+            t0 = time.perf_counter()
             sample_posterior(manifold, w, prior, per_point=100, seed=88)
+            return time.perf_counter() - t0
 
         run()  # warm-up
-        best = INF
-        for _ in range(3):
-            t0 = time.perf_counter()
-            run()
-            best = min(best, time.perf_counter() - t0)
-        return best
+        return run
 
-    t_small = posterior_time(400)
-    t_large = posterior_time(800)
+    # Interleaved, so a burst of load from other processes hits both sizes.
+    run_small, run_large = posterior_run(400), posterior_run(800)
+    t_small = t_large = INF
+    for _ in range(5):
+        t_small = min(t_small, run_small())
+        t_large = min(t_large, run_large())
     ratio = t_large / t_small
     problems = []
     if ratio > 2.5:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import random_orthonormal, random_subspace_pair
+from conftest import prescribed_pair, random_orthonormal, random_subspace_pair
 from partialrom.bases import compute_suitable_bases
 from partialrom.errors import ContractViolation, EmptySliceError, PartialSampleWarning
 from partialrom.geometry import (
@@ -18,6 +18,7 @@ from partialrom.geometry import (
 )
 from partialrom.rng import derived_rng
 from partialrom.sampling import (
+    DEFAULT_D_BOX,
     Observation,
     PiDistribution,
     build_slice,
@@ -394,6 +395,54 @@ class TestSamplePosterior:
             sample_posterior(cloud, w, prior, per_point=5, max_draws_per_point=2)
         out = sample_posterior(cloud, w, prior, per_point=5, max_draws_per_point=5)
         assert len(out) == 15
+
+    def test_single_tube_batch_matches_per_point_draws(self):
+        # The batched single-tube pass draws what one sample_slice_multi call
+        # per point draws from the same (seed, i) stream, up to rounding.
+        rng = derived_rng(7117)
+        w, v = prescribed_pair(rng, m=10, n=12, p=2, q=8, r=280)
+        assert w.ambient_dim == 300
+        off_v = rng.standard_normal((30, 300))
+        off_v -= (off_v @ v.basis) @ v.basis.T
+        off_v *= rng.uniform(0.0, 0.4, 30)[:, None] / np.linalg.norm(off_v, axis=1)[:, None]
+        cloud = SnapshotSet((v.basis @ rng.standard_normal((12, 30))).T + off_v)
+        prior = DegenerateEllipsoid(v, 0.5)
+        pi = PiDistribution.mixture()
+        bases = compute_suitable_bases(v, w)
+        assert 0 < bases.p < bases.q < bases.n and bases.r > 0
+        batch = sample_posterior(cloud, w, prior, per_point=5, pi_dist=pi, seed=31).vectors
+        per_point = np.vstack([
+            sample_slice_multi(
+                observe(h, w), PriorManifold((prior,)), 1, 5, None, pi, DEFAULT_D_BOX,
+                derived_rng(31, i), bases=bases,
+            ).samples.vectors
+            for i, h in enumerate(cloud)
+        ])
+        assert batch.shape == per_point.shape == (150, 300)
+        assert np.all(
+            np.linalg.norm(batch - per_point, axis=1) <= 1e-12 * np.linalg.norm(per_point, axis=1)
+        )
+
+    def test_one_inconsistent_point_raises(self, rng):
+        w, v = random_subspace_pair(rng, 12, 6, 3)
+        bases = compute_suitable_bases(v, w)
+        pts = (v.basis @ rng.standard_normal((3, 4))).T
+        pts[2] += 0.5 * bases.w_star[:, -1]  # observed, outside V, beyond the width
+        with pytest.raises(EmptySliceError, match="point 2"):
+            sample_posterior(SnapshotSet(pts), w, DegenerateEllipsoid(v, 0.1), per_point=3)
+
+    def test_zero_width_prior_admits_states_in_v(self):
+        # The batch clamps rounding-level negative budgets as build_slice does.
+        for trial in range(20):
+            rng = derived_rng(5007, trial)
+            w, v = random_subspace_pair(rng, 12, 6, 3)
+            pts = (v.basis @ rng.standard_normal((3, 50))).T
+            out = sample_posterior(SnapshotSet(pts), w, DegenerateEllipsoid(v, 0.0), per_point=3)
+            assert len(out) == 150
+            scale = np.linalg.norm(pts, axis=1).repeat(3)
+            obs = (pts @ w.basis).repeat(3, axis=0)
+            assert np.all(np.linalg.norm(out.vectors @ w.basis - obs, axis=1) <= 1e-13 * scale)
+            assert np.all(out.residual_norms(v) <= 1e-13 * scale)
 
 
 class TestUnionSetContains:

@@ -156,6 +156,26 @@ class TestThermalWorld:
         with pytest.raises(ContractViolation):
             thermal_world.prior_manifold(6)
 
+    def test_solves_each_distinct_theta_once(self):
+        # t_steps=2 on a 2-per-axis relaxed grid: 16 relaxed θ plus the 5
+        # constrained θ it lacks.  The target states are rows of those solves.
+        model = ThermalBlockModel(4)
+        solve = model.solve
+        calls = []
+
+        def counted(theta, **kwargs):
+            calls.append(tuple(theta))
+            return solve(theta, **kwargs)
+
+        model.solve = counted
+        world = build_thermal_world(
+            model, theta_min=0.2, theta_step=0.2, t_steps=2, relax_max=16, n_prior=5, flux=1.5
+        )
+        assert len(world.relax_cloud) == 21
+        assert len(calls) == len(set(calls)) == 21
+        for theta, state in zip(world.m_thetas, world.m_cloud):
+            assert np.array_equal(state, solve(theta, flux=1.5))
+
     def test_builder_validation(self):
         model = ThermalBlockModel(2)
         with pytest.raises(ContractViolation):
