@@ -27,7 +27,7 @@ import numpy as np
 
 from .bases import SuitableBases
 from .errors import ContractViolation
-from .geometry import SnapshotSet, Subspace, direct_sum, prefix_widths
+from .geometry import SnapshotSet, Subspace, direct_sum, lies_in, prefix_widths
 
 INF = math.inf
 
@@ -127,7 +127,7 @@ def _certificates(t_subspace: Subspace, bases: SuitableBases, i_values) -> list:
     n, q, k = bases.n, bases.q, t_subspace.dim
     k_star = min(n, k + n - q)
     v = bases.v_subspace.basis
-    if k and np.abs(t_subspace.basis - v @ (v.T @ t_subspace.basis)).max() > 1e-8:
+    if not lies_in(t_subspace, bases.v_subspace):
         raise ContractViolation("T must lie in the prior subspace V")
     groups: dict[str, list[int]] = {}
     for i in i_values:

@@ -112,6 +112,8 @@ class RunConfig:
                 raise ConfigError("t_steps must be >= 1 and theta grid values positive")
             if self.relax_max < 16:
                 raise ConfigError(f"relax_max must be >= 16, got {self.relax_max}")
+            if self.m > (ambient := self.cells * (self.cells + 1)):
+                raise ConfigError(f"m = {self.m} exceeds the ambient dimension {ambient}")
         else:
             if 2 * self.n_max > self.ambient:
                 raise ConfigError(

@@ -140,6 +140,13 @@ def dist(h, subspace: Subspace) -> float:
     return float(np.linalg.norm(v - project(v, subspace)))
 
 
+def lies_in(inner: Subspace, outer: Subspace, tol: float = 1e-8) -> bool:
+    """Whether ``inner`` lies in ``outer``: ``||B - A (A^T B)||_F <= tol (1 + dim inner)``
+    for the orthonormal bases B of ``inner`` and A of ``outer``."""
+    a, b = outer.basis, inner.basis
+    return float(np.linalg.norm(b - a @ (a.T @ b))) <= tol * (1 + inner.dim)
+
+
 def direct_sum(a: Subspace, b: Subspace) -> Subspace:
     """Span of the union of two subspaces (not required to be orthogonal).
 

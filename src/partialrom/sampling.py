@@ -36,6 +36,7 @@ from .geometry import (
     SnapshotSet,
     Subspace,
     as_vector,
+    lies_in,
 )
 from .rng import as_rng, derived_rng
 
@@ -444,11 +445,7 @@ def union_set_contains(
     if eps < 0:
         raise ContractViolation(f"eps must be >= 0, got {eps}")
     v = as_vector(h_prime, bases.ambient_dim)
-    # T must sit inside the prior subspace.
-    t_resid = t_subspace.basis - bases.v_subspace.basis @ (
-        bases.v_subspace.basis.T @ t_subspace.basis
-    )
-    if t_subspace.dim and np.linalg.norm(t_resid) > 1e-8 * (1 + t_subspace.dim):
+    if not lies_in(t_subspace, bases.v_subspace):
         raise ContractViolation("T is not contained in the prior subspace")
 
     m, q, p = bases.m, bases.q, bases.p

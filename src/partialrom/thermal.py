@@ -12,10 +12,11 @@ load ``c (theta_3^{-1} g_left + theta_4^{-1} g_right)`` for precomputed
 edge-mass vectors.
 
 With the nodes numbered row by row, ``A(theta)`` is banded with half-bandwidth
-``cells + 2``.  Each quadrant part is stored once in LAPACK upper band form;
-a solve combines the four bands in O(N b) and factors the SPD result with a
-banded Cholesky (``scipy.linalg.solveh_banded``, LAPACK ``pbsv``), one call
-per state.
+``cells + 2``.  Each quadrant part is assembled straight into LAPACK upper band
+form and held only in that form; a solve combines the four bands in O(N b) and
+factors the SPD result with a banded Cholesky (``scipy.linalg.solveh_banded``,
+LAPACK ``pbsv``), one call per state.  The dense mass matrix lives only while
+the model is built: the model holds its Cholesky factor.
 
 States are exposed in *ambient coordinates*: with the free-node mass matrix
 factored as ``M = L L^T``, a nodal vector ``h`` maps to ``L^T h``, which turns
@@ -67,21 +68,13 @@ def _combine(t: np.ndarray, parts) -> np.ndarray:
     return out
 
 
-def _upper_band(a: np.ndarray, b: int) -> np.ndarray:
-    """Upper band form of a symmetric matrix of half-bandwidth ``b``."""
-    ab = np.zeros((b + 1, a.shape[0]))
-    for k in range(b + 1):
-        ab[b - k, k:] = np.diagonal(a, k)
-    return ab
-
-
 class ThermalBlockModel:
-    """Discretized thermal block with per-quadrant stiffness parts.
+    """Discretized thermal block, held as banded quadrant parts and the mass factor.
 
-    ``stiffness_bands`` holds each quadrant part in LAPACK upper band form
-    (half-bandwidth ``bandwidth``); ``solve`` works on these alone.  The dense
-    ``stiffness_parts`` and ``stiffness(theta)`` are kept as references for
-    tests and ``selftest``.
+    ``stiffness_bands`` holds each quadrant stiffness part in LAPACK upper band
+    form (half-bandwidth ``bandwidth``), assembled straight into that form;
+    ``mass_chol`` is the lower Cholesky factor of the free-node mass matrix.
+    No dense stiffness or mass matrix is kept.
     """
 
     def __init__(self, cells: int = 24):
@@ -89,7 +82,6 @@ class ThermalBlockModel:
             raise ContractViolation(f"cells must be an even integer >= 2, got {cells}")
         self.cells = cells
         n_side = cells + 1
-        self.n_nodes = n_side * n_side
         h = 1.0 / cells
 
         # Cells in row-major order; node (ix, iy) has index iy * n_side + ix.
@@ -108,37 +100,31 @@ class ThermalBlockModel:
         n_free = cells * n_side
         rows = np.repeat(loc, 4, axis=1)
         cols = np.tile(loc, (1, 4))
-        keep = (rows < n_free) & (cols < n_free)
-        quads = np.broadcast_to(quad[:, None], keep.shape)[keep]
-        at = (rows[keep], cols[keep])
-        stiff = np.zeros((4, n_free, n_free))
-        np.add.at(stiff, (quads,) + at, np.broadcast_to(_K_LOCAL.ravel(), keep.shape)[keep])
+        free = (rows < n_free) & (cols < n_free)
         mass = np.zeros((n_free, n_free))
-        np.add.at(mass, at, np.broadcast_to((h * h * _M_LOCAL).ravel(), keep.shape)[keep])
+        m_local = np.broadcast_to((h * h * _M_LOCAL).ravel(), free.shape)
+        np.add.at(mass, (rows[free], cols[free]), m_local[free])
+        self.mass_chol = cholesky(mass, lower=True)
+
+        # A cell couples nodes at most n_side + 1 apart (SW to NE).  Upper
+        # entries (r, c), c >= r, go straight to band form at [b - (c - r), c].
+        self.bandwidth = b = n_side + 1
+        up = free & (cols >= rows)
+        at = (np.broadcast_to(quad[:, None], up.shape)[up], (b - cols + rows)[up], cols[up])
+        bands = np.zeros((4, b + 1, n_free))
+        np.add.at(bands, at, np.broadcast_to(_K_LOCAL.ravel(), up.shape)[up])
+        self.stiffness_bands = tuple(bands)
 
         # Bottom-edge flux load, split by the conductivity seen by each half:
         # row 0 is the left half, row 1 the right half.
         flux = np.zeros((2, n_free))
         edge = np.stack([cx[:cells], cx[:cells] + 1], axis=1)
         np.add.at(flux, (np.where(left[:cells], 0, 1)[:, None], edge), 0.5 * h)
-
-        self.free_nodes = np.arange(n_free)
-        self.stiffness_parts = tuple(stiff)
-        self.mass = mass
         self.flux_left, self.flux_right = flux
-        self.mass_chol = cholesky(self.mass, lower=True)
-
-        # A cell couples nodes at most n_side + 1 apart (SW to NE).
-        self.bandwidth = n_side + 1
-        self.stiffness_bands = tuple(_upper_band(p, self.bandwidth) for p in self.stiffness_parts)
 
     @property
     def ambient_dim(self) -> int:
-        return self.free_nodes.shape[0]
-
-    def stiffness(self, theta) -> np.ndarray:
-        """Dense ``A(theta)``: a reference for tests and ``selftest``, not used by ``solve``."""
-        return _combine(_check_theta(theta), self.stiffness_parts)
+        return self.cells * (self.cells + 1)
 
     def stiffness_band(self, theta) -> np.ndarray:
         """``A(theta)`` in LAPACK upper band form, ``ab[b - k, k:] = diag(A, k)``."""
@@ -168,5 +154,5 @@ class ThermalBlockModel:
             rhs += flux * (self.flux_left / t[2] + self.flux_right / t[3])
         if source_coeffs is not None:
             rhs += self.mass_chol @ as_vector(source_coeffs, self.ambient_dim)
-        nodal = solveh_banded(self.stiffness_band(t), rhs, overwrite_ab=True)
+        nodal = solveh_banded(_combine(t, self.stiffness_bands), rhs, overwrite_ab=True)
         return self.to_ambient(nodal)

@@ -26,6 +26,7 @@ from .geometry import (
     PriorManifold,
     SnapshotSet,
     Subspace,
+    lies_in,
     orthonormalize,
     prefix_widths,
 )
@@ -53,9 +54,7 @@ def check_nested_prior(prior: PriorManifold, tol: float = 1e-8) -> None:
             raise ContractViolation(
                 f"prior widths must be nonincreasing, got {a.width} then {b.width}"
             )
-        inner, outer = a.subspace, b.subspace
-        resid = inner.basis - outer.basis @ (outer.basis.T @ inner.basis)
-        if inner.dim and float(np.linalg.norm(resid)) > tol * (1 + inner.dim):
+        if not lies_in(a.subspace, b.subspace, tol):
             raise ContractViolation("prior subspaces are not nested")
 
 

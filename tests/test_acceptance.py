@@ -6,12 +6,15 @@ fully seeded, so the measured quantities are identical on every run.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
+import partialrom
 from conftest import random_subspace_pair
 from partialrom.bases import SuitableBases, compute_suitable_bases
 from partialrom.bounds import (
@@ -335,6 +338,9 @@ def test_sampling_cost_scales_linearly_in_ambient_dim(monkeypatch):
 
 def test_identical_seeds_byte_identical_csv(tmp_path):
     code = "import sys; from partialrom.cli import main; sys.exit(main(sys.argv[1:]))"
+    # The child imports the package this suite imported, installed or not.
+    path = [str(Path(partialrom.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
 
     def run(out_dir):
         args = [
@@ -344,7 +350,7 @@ def test_identical_seeds_byte_identical_csv(tmp_path):
             "--m", "6", "--n", "6", "--n-points", "6", "--per-point", "2",
             "--reps", "2", "--i-max", "6", "--seed", "42",
         ]
-        proc = subprocess.run(args, capture_output=True, text=True)
+        proc = subprocess.run(args, capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         return (out_dir / "curves.csv").read_bytes()
 

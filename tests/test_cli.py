@@ -194,6 +194,17 @@ class TestRunCommands:
         assert "k_intrinsic" in capsys.readouterr().err
         assert not (tmp_path / "run" / "curves.csv").exists()
 
+    def test_setup1_m_above_ambient_exits_config(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        args = [
+            "setup1", "--out", str(out), "--cells", "2", "--t-steps", "2",
+            "--relax-max", "16", "--m", "10", "--n", "4", "--reps", "1",
+            "--per-point", "2", "--i-max", "5", "--seed", "3",
+        ]
+        assert main(args) == 2
+        assert "m = 10 exceeds the ambient dimension" in capsys.readouterr().err
+        assert not (out / "curves.csv").exists()
+
     def test_manifest_setup_mismatch(self, tmp_path, capsys):
         run2 = tmp_path / "run2"
         assert main(tiny_setup2_args(run2)) == 0

@@ -15,6 +15,7 @@ from partialrom.geometry import (
     direct_sum,
     dist,
     ellipsoid_contains,
+    lies_in,
     orthonormalize,
     prefix_widths,
     prior_contains,
@@ -145,6 +146,23 @@ class TestDirectSum:
     def test_mismatched_ambient(self):
         with pytest.raises(ContractViolation):
             direct_sum(Subspace.zero(3), Subspace.zero(4))
+
+
+class TestLiesIn:
+    def test_inclusion_rule(self):
+        outer = Subspace(np.eye(5)[:, :3])
+        assert lies_in(Subspace(np.eye(5)[:, 1:3]), outer)
+        assert lies_in(Subspace.zero(5), outer)
+        assert not lies_in(Subspace(np.eye(5)[:, 2:4]), outer)
+
+    def test_frobenius_tolerance_scales_with_inner_dim(self):
+        # Two columns each 1e-8 off the outer space: Frobenius residual
+        # sqrt(2) 1e-8 sits inside tol (1 + 2) = 3e-8 and outside 1e-8 (1 + 2) / 3.
+        tilt = np.eye(5)[:, :2] + 1e-8 * np.eye(5)[:, 3:5]
+        inner = Subspace(tilt / np.linalg.norm(tilt, axis=0))
+        outer = Subspace(np.eye(5)[:, :3])
+        assert lies_in(inner, outer)
+        assert not lies_in(inner, outer, tol=1e-8 / 3)
 
 
 class TestEllipsoid:

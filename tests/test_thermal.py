@@ -2,12 +2,17 @@
 
 The assembly oracle re-derives every element matrix by Gauss quadrature of
 bilinear shape functions, sharing no code (and no precomputed constants) with
-the implementation.
+the implementation.  The model holds no dense operator, so the dense
+references live here: the oracle, the cell-by-cell loop with the model's own
+local matrices (``cell_loop_reference``) and ``_dense_from_upper_band``.
 """
+
+import functools
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import cholesky
 
 from partialrom import thermal
 from partialrom.errors import ContractViolation
@@ -93,42 +98,72 @@ def assemble_reference(cells):
     )
 
 
+@functools.lru_cache(maxsize=None)
+def cell_loop_reference(cells):
+    """Free-node quadrant stiffness parts, mass and flux loads, assembled cell by
+    cell with the model's own local matrices: the vectorized scatter sums the
+    same terms in the same order, so the results are equal bit for bit."""
+    n_side, h = cells + 1, 1.0 / cells
+    n = n_side * n_side
+    stiff, mass, flux = np.zeros((4, n, n)), np.zeros((n, n)), np.zeros((2, n))
+    for cy in range(cells):
+        for cx in range(cells):
+            sw = cy * n_side + cx
+            loc = [sw, sw + 1, sw + 1 + n_side, sw + n_side]
+            left, top = (cx + 0.5) / cells < 0.5, (cy + 0.5) / cells >= 0.5
+            quad = (0 if left else 1) if top else (2 if left else 3)
+            for a in range(4):
+                stiff[quad][loc[a], loc] += thermal._K_LOCAL[a]
+                mass[loc[a], loc] += h * h * thermal._M_LOCAL[a]
+    for cx in range(cells):
+        flux[0 if (cx + 0.5) / cells < 0.5 else 1, [cx, cx + 1]] += 0.5 * h
+    free = slice(0, cells * n_side)
+    return stiff[:, free, free], mass[free, free], flux[:, free]
+
+
+def dense_stiffness(cells, theta):
+    """Dense ``A(theta)`` from the cell-loop parts, summed in quadrant order."""
+    parts = cell_loop_reference(cells)[0]
+    return theta[0] * parts[0] + theta[1] * parts[1] + theta[2] * parts[2] + theta[3] * parts[3]
+
+
+def _dense_from_upper_band(ab):
+    """Symmetric matrix whose LAPACK upper band form is ``ab``."""
+    b, n = ab.shape[0] - 1, ab.shape[1]
+    upper = np.zeros((n, n))
+    for k in range(b + 1):
+        upper += np.diag(ab[b - k, k:], k)
+    return upper + np.triu(upper, 1).T
+
+
+def _upper_band(a, b):
+    """LAPACK upper band form of the symmetric ``a`` at half-bandwidth ``b``."""
+    ab = np.zeros((b + 1, a.shape[0]))
+    for k in range(b + 1):
+        ab[b - k, k:] = np.diagonal(a, k)
+    return ab
+
+
 class TestAssembly:
     @pytest.mark.parametrize("cells", [2, 4])
     def test_matches_quadrature_oracle(self, cells):
         model = ThermalBlockModel(cells)
         ref_stiff, ref_mass, ref_gl, ref_gr = assemble_reference(cells)
-        for part, ref in zip(model.stiffness_parts, ref_stiff):
-            assert_allclose(part, ref, atol=1e-13)
-        assert_allclose(model.mass, ref_mass, atol=1e-14)
+        for band, ref in zip(model.stiffness_bands, ref_stiff):
+            assert_allclose(_dense_from_upper_band(band), ref, atol=1e-13)
+        assert_allclose(model.mass_chol @ model.mass_chol.T, ref_mass, atol=1e-14)
         assert_allclose(model.flux_left, ref_gl, atol=1e-14)
         assert_allclose(model.flux_right, ref_gr, atol=1e-14)
 
     @pytest.mark.parametrize("cells", [2, 4, 6])
     def test_bitwise_equal_to_cell_loop(self, cells):
-        # The cell-by-cell loop the vectorized scatter replaced, with the
-        # model's own local matrices: same arithmetic, so equal bits.
-        n_side, h = cells + 1, 1.0 / cells
-        n = n_side * n_side
-        stiff, mass, flux = np.zeros((4, n, n)), np.zeros((n, n)), np.zeros((2, n))
-        for cy in range(cells):
-            for cx in range(cells):
-                sw = cy * n_side + cx
-                loc = [sw, sw + 1, sw + 1 + n_side, sw + n_side]
-                left, top = (cx + 0.5) / cells < 0.5, (cy + 0.5) / cells >= 0.5
-                quad = (0 if left else 1) if top else (2 if left else 3)
-                for a in range(4):
-                    stiff[quad][loc[a], loc] += thermal._K_LOCAL[a]
-                    mass[loc[a], loc] += h * h * thermal._M_LOCAL[a]
-        for cx in range(cells):
-            flux[0 if (cx + 0.5) / cells < 0.5 else 1, [cx, cx + 1]] += 0.5 * h
-        free = slice(0, cells * n_side)
+        stiff, mass, flux = cell_loop_reference(cells)
         model = ThermalBlockModel(cells)
-        for part, ref in zip(model.stiffness_parts, stiff):
-            assert np.array_equal(part, ref[free, free])
-        assert np.array_equal(model.mass, mass[free, free])
-        assert np.array_equal(model.flux_left, flux[0, free])
-        assert np.array_equal(model.flux_right, flux[1, free])
+        for band, ref in zip(model.stiffness_bands, stiff):
+            assert np.array_equal(band, _upper_band(ref, model.bandwidth))
+        assert np.array_equal(model.mass_chol, cholesky(mass, lower=True))
+        assert np.array_equal(model.flux_left, flux[0])
+        assert np.array_equal(model.flux_right, flux[1])
 
     def test_free_node_count(self):
         for cells in (2, 4, 6):
@@ -138,7 +173,7 @@ class TestAssembly:
         model = ThermalBlockModel(4)
         # Left/right quadrant pairs are x-mirror images, so the restricted
         # parts have equal traces (top pairs lose the same Dirichlet rows).
-        traces = [np.trace(p) for p in model.stiffness_parts]
+        traces = [band[model.bandwidth].sum() for band in model.stiffness_bands]
         assert_allclose(traces[0], traces[1], rtol=1e-12)
         assert_allclose(traces[2], traces[3], rtol=1e-12)
         # Bottom quadrants keep their full cells; top ones lose the top row.
@@ -147,9 +182,10 @@ class TestAssembly:
     def test_stiffness_combination_and_spd(self):
         model = ThermalBlockModel(4)
         theta = np.array([0.3, 1.2, 2.0, 0.7])
-        combo = sum(t * p for t, p in zip(theta, model.stiffness_parts))
-        assert_allclose(model.stiffness(theta), combo, atol=1e-14)
-        eigs = np.linalg.eigvalsh(model.stiffness(theta))
+        combo = sum(t * _dense_from_upper_band(p) for t, p in zip(theta, model.stiffness_bands))
+        dense = _dense_from_upper_band(model.stiffness_band(theta))
+        assert_allclose(dense, combo, atol=1e-14)
+        eigs = np.linalg.eigvalsh(dense)
         assert eigs.min() > 0.0
 
     def test_frozen_flux_vectors_cells4(self):
@@ -169,11 +205,24 @@ class TestAssembly:
     def test_theta_validation(self):
         model = ThermalBlockModel(2)
         with pytest.raises(ContractViolation):
-            model.stiffness([1.0, 1.0, 1.0])
+            model.stiffness_band([1.0, 1.0, 1.0])
         with pytest.raises(ContractViolation):
-            model.stiffness([1.0, 1.0, 1.0, 0.0])
+            model.stiffness_band([1.0, 1.0, 1.0, 0.0])
         with pytest.raises(ContractViolation):
-            model.stiffness([1.0, 1.0, 1.0, np.inf])
+            model.solve([1.0, 1.0, 1.0, np.inf], flux=1.0)
+
+    def test_holds_no_dense_square_array_but_mass_chol(self):
+        model = ThermalBlockModel(24)
+        n = model.ambient_dim
+        held = {
+            name: value if isinstance(value, tuple) else (value,)
+            for name, value in vars(model).items()
+        }
+        square = sorted(
+            name for name, values in held.items()
+            if any(getattr(v, "shape", None) == (n, n) for v in values)
+        )
+        assert square == ["mass_chol"]
 
 
 class TestAmbientCoordinates:
@@ -191,7 +240,8 @@ class TestAmbientCoordinates:
         h1 = rng.standard_normal(model.ambient_dim)
         h2 = rng.standard_normal(model.ambient_dim)
         lhs = model.to_ambient(h1) @ model.to_ambient(h2)
-        assert_allclose(lhs, h1 @ model.mass @ h2, rtol=1e-10)
+        mass = cell_loop_reference(4)[1]
+        assert_allclose(lhs, h1 @ mass @ h2, rtol=1e-10)
 
 
 class TestSolve:
@@ -214,7 +264,7 @@ class TestSolve:
         c = 1.7
         nodal = model.from_ambient(model.solve(theta, flux=c))
         rhs = c * (model.flux_left / theta[2] + model.flux_right / theta[3])
-        assert_allclose(model.stiffness(theta) @ nodal, rhs, atol=1e-10)
+        assert_allclose(dense_stiffness(4, theta) @ nodal, rhs, atol=1e-10)
 
     def test_mirror_symmetry_for_symmetric_theta(self):
         cells = 4
@@ -238,7 +288,7 @@ class TestSolve:
         s = rng.standard_normal(model.ambient_dim)
         theta = (1.0, 2.0, 0.5, 1.5)
         nodal = model.from_ambient(model.solve(theta, source_coeffs=s))
-        assert_allclose(model.stiffness(theta) @ nodal, model.mass_chol @ s, atol=1e-10)
+        assert_allclose(dense_stiffness(4, theta) @ nodal, model.mass_chol @ s, atol=1e-10)
 
     def test_zero_load_zero_solution(self):
         model = ThermalBlockModel(2)
@@ -252,15 +302,6 @@ class TestSolve:
         assert_allclose(double, base / 4.0, rtol=1e-9)
 
 
-def _dense_from_upper_band(ab):
-    """Symmetric matrix whose LAPACK upper band form is ``ab``."""
-    b, n = ab.shape[0] - 1, ab.shape[1]
-    upper = np.zeros((n, n))
-    for k in range(b + 1):
-        upper += np.diag(ab[b - k, k:], k)
-    return upper + np.triu(upper, 1).T
-
-
 class TestBandedSolve:
     @pytest.mark.parametrize("cells", [2, 4, 24])
     def test_band_form_expands_to_dense_stiffness(self, cells):
@@ -270,7 +311,7 @@ class TestBandedSolve:
         ab = model.stiffness_band(theta)
         assert ab.shape == (model.bandwidth + 1, model.ambient_dim)
         # Exact: a band narrower than the stiffness would drop nonzeros.
-        assert np.array_equal(_dense_from_upper_band(ab), model.stiffness(theta))
+        assert np.array_equal(_dense_from_upper_band(ab), dense_stiffness(cells, theta))
 
     @pytest.mark.parametrize("cells", [2, 4, 24])
     def test_matches_dense_solve(self, cells):
@@ -287,17 +328,6 @@ class TestBandedSolve:
                 ({"flux": flux, "source_coeffs": source}, rhs + model.mass_chol @ source),
             )
             for kwargs, load in cases:
-                ref = model.to_ambient(np.linalg.solve(model.stiffness(theta), load))
+                ref = model.to_ambient(np.linalg.solve(dense_stiffness(cells, theta), load))
                 got = model.solve(theta, **kwargs)
                 assert np.linalg.norm(got - ref) <= 1e-11 * np.linalg.norm(ref)
-
-    def test_solve_never_forms_dense_stiffness(self, monkeypatch):
-        model = ThermalBlockModel(4)
-        expected = model.solve((0.4, 1.1, 2.2, 0.9), flux=1.0, source_coeffs=np.ones(20))
-
-        def dense(theta):
-            raise AssertionError("solve formed the dense stiffness")
-
-        monkeypatch.setattr(model, "stiffness", dense)
-        got = model.solve((0.4, 1.1, 2.2, 0.9), flux=1.0, source_coeffs=np.ones(20))
-        assert np.array_equal(got, expected)
