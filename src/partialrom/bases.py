@@ -110,14 +110,15 @@ class SuitableBases:
         return self.w_rotation.T @ obs
 
     def slice_centers(self, a_star: np.ndarray) -> np.ndarray:
-        """Slice centers for rows of w*-coefficients: (count, m) -> (count, N).
+        """Slice centers for rows of w*-coefficients: (..., m) -> (..., N).
 
         Row i is ``sum_{j<=q} a_ij / sigma_j v*_j + sum_{j>q} a_ij w*_j``.
+        Stacked (points, 1, m) rows give one vector-matrix product per point.
         """
         q = self.q
-        centers = (a_star[:, :q] / self.sigma[:q]) @ self.v_star[:, :q].T
+        centers = (a_star[..., :q] / self.sigma[:q]) @ self.v_star[:, :q].T
         if self.m > q:
-            centers = centers + a_star[:, q:] @ self.w_star[:, q:].T
+            centers = centers + a_star[..., q:] @ self.w_star[:, q:].T
         return centers
 
 

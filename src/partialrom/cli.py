@@ -104,8 +104,8 @@ def _parse_sigma(args: argparse.Namespace) -> np.ndarray:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     for flag, value in (("--eps", args.eps), ("--eps-prime", args.eps_prime)):
-        if not math.isfinite(value):
-            raise ConfigError(f"{flag} must be finite, got {value}")
+        if not (math.isfinite(value) and value >= 0):
+            raise ConfigError(f"{flag} must be finite and >= 0, got {value}")
     if args.i_max is not None and args.i_max < 0:
         raise ConfigError(f"--i-max must be >= 0, got {args.i_max}")
     sigma = _parse_sigma(args)

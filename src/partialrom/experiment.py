@@ -232,12 +232,21 @@ def nested_width_curve_from_greedy(
     Exploits that nested greedy bases share prefixes, so one coordinate matrix
     serves every dimension.  Beyond the terminal dimension the value is held.
     """
+    d = min(gr.terminal_dim, i_max)
+    widths = prefix_widths(cloud.vectors, gr.basis[:, :d]) if d else ()
+    return _held_width_curve(cloud, widths, i_max)
+
+
+def _held_width_curve(cloud: SnapshotSet, widths, i_max: int) -> list[float]:
+    """``[max ||h||, *widths]`` over ``cloud``, the last value held to dim i_max.
+
+    For the cloud a greedy result ``gr`` was built on with ``max_dim = i_max``,
+    ``widths = gr.error_curve`` gives :func:`nested_width_curve_from_greedy`:
+    ``greedy`` recorded that curve with the same ``prefix_widths`` pass.
+    """
     sq_norms = np.einsum("ij,ij->i", cloud.vectors, cloud.vectors)
     curve = [float(np.sqrt(sq_norms.max()))]
-    d = min(gr.terminal_dim, i_max)
-    if d:
-        per_dim = prefix_widths(cloud.vectors, gr.basis[:, :d])
-        curve.extend(float(x) for x in per_dim)
+    curve.extend(float(x) for x in widths)
     while len(curve) <= i_max:
         curve.append(curve[-1])
     return curve
@@ -369,7 +378,8 @@ def _run_rep(
         cloud = posterior_cloud(cfg, bundle, prior, derived_seed(cfg.seed, stream, rep))
         gr = greedy(cloud, stop)
         records += _curve_records(f"post_{kind}", rep, "M", widths(gr, bundle.m_cloud))
-        records += _curve_records(f"post_{kind}", rep, "Mpost", widths(gr, cloud))
+        own = _held_width_curve(cloud, gr.error_curve, cfg.i_max)
+        records += _curve_records(f"post_{kind}", rep, "Mpost", own)
         if kind == "single":
             # The deterministic families are judged against this repetition's cloud.
             records += _curve_records("perf", rep, "Mpost", widths(gr_perf, cloud))
@@ -385,9 +395,8 @@ def run_experiment(cfg: RunConfig) -> ExperimentResult:
 
     records: list[CurveRecord] = []
     gr_perf = greedy(bundle.m_cloud, stop)
-    records += _curve_records(
-        "perf", 0, "M", nested_width_curve_from_greedy(gr_perf, bundle.m_cloud, cfg.i_max)
-    )
+    own = _held_width_curve(bundle.m_cloud, gr_perf.error_curve, cfg.i_max)
+    records += _curve_records("perf", 0, "M", own)
     est_cloud = estimate_manifold(
         bundle.m_cloud, bundle.w_subspace, bundle.prior_single, bundle.bases_single
     )

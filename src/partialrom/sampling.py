@@ -13,12 +13,15 @@ directions ``v*_{q+1..n}``, and a component z in W⊥ ∩ V⊥, constrained by
     sum b_j^2 + ||z||^2  <=  budget = eps'^2 - sum_{j>q} <w*_j, h>^2.
 
 ``sample_slice`` draws from one slice, each block for all samples at once as
-arrays.  ``sample_slice_multi`` samples a prior of one or more ellipsoids by
-drawing from a reference factor's slice and rejecting draws outside the other
-factors.  ``sample_posterior`` samples a cloud of manifold points: a single
-tube in one batched pass over all points, a prior of several tubes with one
-``sample_slice_multi`` call per point.  Point i draws from the derived stream
-(seed, i) alone; its values match a one-point redraw up to rounding.
+arrays.  A prior of several ellipsoids is sampled by rejection: draws come from
+a reference factor's slice, and those outside any other factor are dropped.
+``sample_posterior`` samples a cloud of manifold points: a single tube in one
+batched pass over all points, a prior of several tubes in one rejection loop
+over all points, of which ``sample_slice_multi`` is the one-slice case.  Point
+i draws from the derived stream (seed, i) alone.  The rejection loop takes
+every product per point (stacked ``np.matmul``), so its draws are bitwise those
+of a one-point call; the single-tube pass uses GEMMs over all rows, which
+match a one-point redraw up to rounding.
 """
 
 from __future__ import annotations
@@ -56,6 +59,9 @@ BUDGET_ULPS = 4.0
 #: interaction chi-square sum is scaled by.
 MIXTURE_WEIGHT = 0.9
 MIXTURE_SCALE = 1e4
+
+#: Manifold points the rejection loop handles at once; bounds its temporaries.
+_BLOCK_POINTS = 32
 
 
 @dataclass(frozen=True)
@@ -163,6 +169,25 @@ def _deviation_budgets(a_star: np.ndarray, width: float, bases: SuitableBases) -
     return budgets
 
 
+def _check_bases(bases: SuitableBases, prior: DegenerateEllipsoid) -> None:
+    if bases.v_subspace is not prior.subspace and not np.array_equal(
+        bases.v_subspace.basis, prior.subspace.basis
+    ):
+        raise ContractViolation("bases were not computed from the prior subspace")
+
+
+def _slice_error(message: str, point: int | None = None) -> EmptySliceError:
+    """An :class:`EmptySliceError` that names manifold point ``point``, if given."""
+    return EmptySliceError(message if point is None else f"manifold point {point}: {message}")
+
+
+def _negative_budget(budget: float) -> str:
+    return (
+        f"slice has negative squared budget {budget:.3e}; "
+        "the observation is inconsistent with the prior"
+    )
+
+
 def build_slice(obs: Observation, prior: DegenerateEllipsoid, bases: SuitableBases) -> EllipsoidSlice:
     """Characterize the slice of ``prior`` cut out by ``obs``.
 
@@ -172,10 +197,7 @@ def build_slice(obs: Observation, prior: DegenerateEllipsoid, bases: SuitableBas
     still returned so callers can inspect it, but sampling it raises.  The
     budget is that of :func:`_deviation_budgets`.
     """
-    if bases.v_subspace is not prior.subspace and not np.array_equal(
-        bases.v_subspace.basis, prior.subspace.basis
-    ):
-        raise ContractViolation("bases were not computed from the prior subspace")
+    _check_bases(bases, prior)
     a_star = bases.w_star_coefficients(obs.values)
     return EllipsoidSlice(
         center=bases.slice_centers(a_star[None, :])[0],
@@ -191,6 +213,21 @@ def _rows_with_norms(x: np.ndarray, norms: np.ndarray) -> np.ndarray:
     current = np.linalg.norm(x, axis=1)
     x *= np.divide(norms, current, out=np.zeros_like(current), where=current > 0)[:, None]
     return x
+
+
+def _times(x: np.ndarray, mat: np.ndarray, stacks: int) -> np.ndarray:
+    """``x @ mat`` for rows ``x`` that form ``stacks`` equal stacks, one
+    product per stack.  A stack's rows round as they would alone; one GEMM
+    over rows of several stacks may round them differently."""
+    if stacks == 1:
+        return x @ mat
+    return (x.reshape(stacks, -1, x.shape[1]) @ mat).reshape(x.shape[0], -1)
+
+
+def _per_point(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``mat @ row`` for every row, one matrix-vector product per row, each
+    rounding as ``mat @ row`` alone does (a GEMM over all rows does not)."""
+    return np.matmul(mat, rows[:, :, None])[:, :, 0]
 
 
 class _SliceDraws:
@@ -232,20 +269,23 @@ class _SliceDraws:
         if self.n_tail:
             self.tail[rows] = gen.uniform(-self.d_box, self.d_box, size=(n, self.n_tail))
 
-    def add_to(self, out: np.ndarray) -> np.ndarray:
+    def add_to(self, out: np.ndarray, stacks: int = 1) -> np.ndarray:
         """Add every row's deviation to ``out`` (the rows' slice centers) in
-        place; the blocks are overwritten on the way."""
+        place; the blocks are overwritten on the way.  With ``stacks`` > 1 the
+        rows are that many equal stacks, and every product is taken per stack
+        (see :func:`_times`)."""
         b = self.bases
         if self.n_int:
             coeffs = _rows_with_norms(self.dirs, np.sqrt(self.gamma) * self.pi)
-            out -= (coeffs / b.sigma[b.p : b.q]) @ b.w_tilde.T  # along sigma_j^{-1} wt_j
+            # along sigma_j^{-1} wt_j
+            out -= _times(coeffs / b.sigma[b.p : b.q], b.w_tilde.T, stacks)
         if self.n_res:
             comp = b.complement_onb
             g = self.gauss
-            g -= (g @ comp) @ comp.T
+            g -= _times(_times(g, comp, stacks), comp.T, stacks)
             out += _rows_with_norms(g, np.sqrt(self.gamma * (1.0 - self.pi**2)))
         if self.n_tail:
-            out += self.tail @ b.v_star_tail.T
+            out += _times(self.tail, b.v_star_tail.T, stacks)
         return out
 
 
@@ -268,10 +308,7 @@ def sample_slice(
     """
     draws = _SliceDraws(slice_.bases, n_samples, pi_dist, d_box)
     if slice_.is_empty:
-        raise EmptySliceError(
-            f"slice has negative squared budget {slice_.radius_sq_budget:.3e}; "
-            "the observation is inconsistent with the prior"
-        )
+        raise _slice_error(_negative_budget(slice_.radius_sq_budget))
     draws.fill(slice(None), as_rng(rng), slice_.radius_sq_budget)
     return SnapshotSet(draws.add_to(np.tile(slice_.center, (n_samples, 1))))
 
@@ -301,6 +338,102 @@ def _draw_limit(n_samples: int, max_draws: int | None) -> int:
     return max_draws
 
 
+def _rejection_sample(
+    a_star: np.ndarray,
+    prior: PriorManifold,
+    j_star: int,
+    n_samples: int,
+    max_draws: int,
+    pi_dist: PiDistribution | None,
+    d_box: float,
+    rngs: list[np.random.Generator],
+    bases: SuitableBases,
+    name_points: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rejection-sample the posterior of every row of w*-coefficients
+    ``a_star`` (one row per manifold point) under ``prior``.
+
+    Point i draws from ``rngs[i]`` in the reference factor ``j_star``'s slice:
+    ``n_samples`` first, then what it still lacks, until it holds
+    ``n_samples`` or has drawn ``max_draws``.  A draw is kept iff it lies
+    within every other factor's width.  Points go in blocks of
+    ``_BLOCK_POINTS``; in each round the points of a block that draw the same
+    number are drawn together, with every product taken per point, so each
+    point's draws are bitwise those of a one-point call.
+
+    Returns the kept draws (point by point, in draw order) and each point's
+    kept and drawn counts.  Points left short raise one
+    :class:`PartialSampleWarning` at the caller's caller.  The first point
+    whose slice is empty or that kept no draw raises :class:`EmptySliceError`,
+    naming the point if ``name_points``.
+    """
+    ref = prior.factor(j_star)
+    others = [e for i, e in enumerate(prior.ellipsoids) if i != j_star - 1]
+    n_points, ambient = a_star.shape[0], bases.ambient_dim
+    budgets = _deviation_budgets(a_star, ref.width, bases)
+    empty = np.flatnonzero(budgets < 0.0)
+    n_live = int(empty[0]) if empty.size else n_points
+    out = np.empty((n_points, n_samples, ambient))
+    kept = np.zeros(n_points, dtype=int)
+    drawn = np.zeros(n_points, dtype=int)
+    for start in range(0, n_live, _BLOCK_POINTS):
+        block = np.arange(start, min(start + _BLOCK_POINTS, n_live))
+        centers = bases.slice_centers(a_star[block, None, :])
+        while (short := block[(kept[block] < n_samples) & (drawn[block] < max_draws)]).size:
+            chunks = np.minimum(n_samples - kept[short], max_draws - drawn[short])
+            for chunk in sorted(set(chunks.tolist())):
+                pts = short[chunks == chunk]
+                draws = _SliceDraws(bases, pts.size * chunk, pi_dist, d_box)
+                for k, i in enumerate(pts):
+                    draws.fill(slice(k * chunk, (k + 1) * chunk), rngs[i], budgets[i])
+                # The first round draws n_samples for every point of the block
+                # straight into their rows of ``out``; a redraw round draws into
+                # a scratch array and copies the kept rows after them.
+                first = not drawn[pts[0]]
+                if first:
+                    batch = out[start : start + pts.size]
+                else:
+                    batch = np.empty((pts.size, chunk, ambient))
+                batch[:] = centers[pts - start]
+                draws.add_to(batch.reshape(-1, ambient), pts.size)
+                ok = np.ones((pts.size, chunk), dtype=bool)
+                for e in others:
+                    bb = e.subspace.basis
+                    resid = np.linalg.norm(batch - (batch @ bb) @ bb.T, axis=-1)
+                    ok &= resid <= e.width + ACCEPT_TOL
+                for k in np.flatnonzero(~ok.all(axis=1)) if first else range(pts.size):
+                    i = pts[k]
+                    rows = batch[k][ok[k]]
+                    out[i, kept[i] : kept[i] + len(rows)] = rows
+                kept[pts] += ok.sum(axis=1)
+                drawn[pts] += chunk
+        if not kept[block].all():
+            break
+
+    out = out.reshape(-1, ambient)
+    if kept.min() == n_samples:
+        return out, kept, drawn
+    none_kept = np.flatnonzero((drawn > 0) & (kept == 0))
+    fail = int(none_kept[0]) if none_kept.size else int(empty[0]) if empty.size else n_points
+    short = np.flatnonzero((drawn[: fail + 1] > 0) & (kept[: fail + 1] < n_samples))
+    if short.size:
+        i = int(short[0])
+        message = f"collected {kept[i]} of {n_samples} samples after {drawn[i]} draws"
+        if name_points:
+            message = (
+                f"{short.size} of {n_points} manifold points came up short; point {i} {message}"
+            )
+        warnings.warn(message, PartialSampleWarning, stacklevel=3)
+    if fail < n_points:
+        point = fail if name_points else None
+        if not drawn[fail]:
+            raise _slice_error(_negative_budget(budgets[fail]), point)
+        raise _slice_error(
+            f"no draw out of {drawn[fail]} satisfied all {prior.n_factors} prior factors", point
+        )
+    return out[(np.arange(n_samples) < kept[:, None]).ravel()], kept, drawn
+
+
 def sample_slice_multi(
     obs: Observation,
     prior: PriorManifold,
@@ -320,43 +453,21 @@ def sample_slice_multi(
     must be the suitable bases of (factor j_star's subspace, W).  ``max_draws``
     (default ``100 * n_samples``) may not be below ``n_samples``.  If it is
     exhausted first, a :class:`PartialSampleWarning` is emitted and the partial
-    result returned with ``complete=False``.
+    result returned with ``complete=False``.  This is the one-slice case of
+    the rejection loop :func:`sample_posterior` runs over a cloud.
     """
     ref = prior.factor(j_star)
     max_draws = _draw_limit(n_samples, max_draws)
-    gen = as_rng(rng)
-    slice_ = build_slice(obs, ref, bases)
-
-    others = [e for i, e in enumerate(prior.ellipsoids) if i != j_star - 1]
-    accepted: list[np.ndarray] = []
-    n_accepted = n_draws = 0
-    while n_accepted < n_samples and n_draws < max_draws:
-        chunk = min(n_samples - n_accepted, max_draws - n_draws)
-        batch = sample_slice(slice_, chunk, pi_dist, d_box, gen).vectors
-        n_draws += chunk
-        for e in others:
-            bb = e.subspace.basis
-            resid = np.linalg.norm(batch - (batch @ bb) @ bb.T, axis=1)
-            batch = batch[resid <= e.width + ACCEPT_TOL]
-        accepted.append(batch)
-        n_accepted += len(batch)
-
-    complete = n_accepted >= n_samples
-    if not complete:
-        warnings.warn(
-            f"collected {n_accepted} of {n_samples} samples after {n_draws} draws",
-            PartialSampleWarning,
-            stacklevel=2,
-        )
-    if not n_accepted:
-        raise EmptySliceError(
-            f"no draw out of {n_draws} satisfied all {prior.n_factors} prior factors"
-        )
+    _check_bases(bases, ref)
+    samples, kept, drawn = _rejection_sample(
+        bases.w_star_coefficients(obs.values)[None, :], prior, j_star, n_samples, max_draws,
+        pi_dist, d_box, [as_rng(rng)], bases, name_points=False,
+    )
     return MultiSliceResult(
-        samples=SnapshotSet(np.vstack(accepted)),
-        n_draws=n_draws,
-        n_accepted=n_accepted,
-        complete=complete,
+        samples=SnapshotSet(samples),
+        n_draws=int(drawn[0]),
+        n_accepted=int(kept[0]),
+        complete=bool(kept[0] >= n_samples),
     )
 
 
@@ -374,15 +485,24 @@ def sample_posterior(
     """Posterior cloud: observe every manifold point and sample its slice.
 
     Point i draws from the derived stream (seed, i) alone, so its random
-    numbers do not depend on the other points or on the iteration order, and
-    re-drawing that point on its own gives its samples again to rounding.
+    numbers do not depend on the other points or on the iteration order.
 
     A single tube is sampled in one batched pass: every point's observation,
     slice center and budget come from one array operation each, each point
     draws its blocks from its own stream into its rows (as
-    :func:`sample_slice` does), and the rows become states in one pass.  A
-    prior of several tubes runs :func:`sample_slice_multi`'s rejection loop
-    point by point; the reference factor defaults to the last (tightest) one.
+    :func:`sample_slice` does), and the rows become states in one pass.  Its
+    GEMMs over all rows round differently from one-point products, so a
+    one-point redraw matches to rounding.
+
+    A prior of several tubes runs one rejection loop over all points, in
+    blocks (the reference factor defaults to the last, tightest one).  Each
+    point draws the chunks :func:`sample_slice_multi` would, and every product
+    (observation, w*-coefficients, center, deviation blocks, each factor's
+    residual) is a per-point product in a stacked ``np.matmul``, so point i's
+    samples are bitwise those of ``sample_slice_multi`` on its observation
+    with ``derived_rng(seed, i)``.  Points left short give one
+    :class:`PartialSampleWarning` per call, and :class:`EmptySliceError` names
+    the first point whose slice is empty or that kept no draw.
     """
     if isinstance(prior, DegenerateEllipsoid):
         prior = PriorManifold((prior,))
@@ -391,14 +511,16 @@ def sample_posterior(
     ref = prior.factor(j_star)
     bases = compute_suitable_bases(ref.subspace, w_subspace)
     if prior.n_factors > 1:
-        chunks = [
-            sample_slice_multi(
-                observe(h, w_subspace), prior, j_star, per_point, max_draws_per_point,
-                pi_dist, d_box, derived_rng(seed, i), bases=bases,
-            ).samples.vectors
-            for i, h in enumerate(manifold_samples)
-        ]
-        return SnapshotSet(np.vstack(chunks))
+        max_draws = _draw_limit(per_point, max_draws_per_point)
+        if manifold_samples.ambient_dim != w_subspace.ambient_dim:
+            raise ContractViolation("cloud and W live in different ambient dimensions")
+        obs = _per_point(w_subspace.basis.T, manifold_samples.vectors)
+        rngs = [derived_rng(seed, i) for i in range(len(manifold_samples))]
+        samples, _, _ = _rejection_sample(
+            _per_point(bases.w_rotation.T, obs), prior, j_star, per_point, max_draws,
+            pi_dist, d_box, rngs, bases, name_points=True,
+        )
+        return SnapshotSet(samples)
 
     # One tube: no draw is rejected, so the budget only has to admit per_point.
     _draw_limit(per_point, max_draws_per_point)
@@ -409,10 +531,7 @@ def sample_posterior(
     empty = np.flatnonzero(budgets < 0.0)
     if empty.size:
         i = int(empty[0])
-        raise EmptySliceError(
-            f"manifold point {i}: slice has negative squared budget {budgets[i]:.3e}; "
-            "the observation is inconsistent with the prior"
-        )
+        raise _slice_error(_negative_budget(budgets[i]), i)
     for i in range(n_points):
         draws.fill(slice(i * per_point, (i + 1) * per_point), derived_rng(seed, i), budgets[i])
     out = np.empty((n_points * per_point, bases.ambient_dim))

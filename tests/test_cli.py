@@ -115,8 +115,9 @@ class TestBounds:
         assert "--i-max" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--eps", "--eps-prime"])
-    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.1"])
     def test_non_finite_width_exits_2(self, flag, value, capsys):
+        # A negative width is as invalid as a non-finite one: exit 2, not 3.
         args = list(self.BASE)
         args[args.index(flag) + 1] = value
         assert main(args) == 2

@@ -13,6 +13,7 @@ from partialrom.experiment import (
     CSV_HEADER,
     CurveRecord,
     RunConfig,
+    _held_width_curve,
     nested_width_curve_from_greedy,
     run_experiment,
     synthetic_defaults,
@@ -57,6 +58,17 @@ class TestNestedWidthCurve:
             assert_allclose(curve[d], expected, rtol=1e-9)
         # Held flat beyond the terminal dimension.
         assert curve[6] == curve[5] and curve[8] == curve[5]
+
+    @pytest.mark.parametrize("rows, cols, i_max", [(20, 9, 5), (6, 9, 8), (30, 40, 12)])
+    def test_own_cloud_curve_is_read_off_greedy(self, rows, cols, i_max):
+        # A cloud judged against its own greedy spaces (max_dim = i_max) gets
+        # the curve of a fresh prefix_widths pass, bit for bit, also when
+        # greedy stops short of i_max (6 rows).
+        cloud = SnapshotSet(derived_rng(41, rows).standard_normal((rows, cols)))
+        gr = greedy(cloud, StoppingRule(max_dim=i_max))
+        own = _held_width_curve(cloud, gr.error_curve, i_max)
+        assert own == nested_width_curve_from_greedy(gr, cloud, i_max)
+        assert len(own) == i_max + 1
 
 
 class TestRunConfig:

@@ -309,7 +309,7 @@ class TestSampleSliceMulti:
         obs = observe(v2.basis @ rng.standard_normal(4), w)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", PartialSampleWarning)
-            with pytest.raises(EmptySliceError):
+            with pytest.raises(EmptySliceError, match="^no draw out of 50 satisfied all 2"):
                 sample_slice_multi(
                     obs, prior, 2, 10, max_draws=50, rng=3, bases=_ref_bases(prior, 2, w)
                 )
@@ -337,6 +337,57 @@ class TestSampleSliceMulti:
         assert sample_slice_multi(obs, prior, 2, 10, max_draws=10, rng=1, bases=sb).n_draws == 10
 
 
+def _nested_prior_case(seed, m, n, p, q, r, widths, spread, n_points=40):
+    """W, a prior of tubes of the given widths around the prefixes of V of
+    dimension 1, n // 2 and n, and a cloud along V's first direction, each
+    state at most ``spread`` off V."""
+    rng = derived_rng(seed)
+    w, v = prescribed_pair(rng, m, n, p, q, r)
+    dims = sorted({1, max(1, n // 2), n})
+    prior = PriorManifold(tuple(
+        DegenerateEllipsoid(Subspace(np.ascontiguousarray(v.basis[:, :d])), width)
+        for d, width in zip(dims, widths)
+    ))
+    off = rng.standard_normal((n_points, w.ambient_dim))
+    off -= (off @ v.basis) @ v.basis.T
+    off *= (rng.uniform(0.0, spread, n_points) / np.linalg.norm(off, axis=1))[:, None]
+    return w, prior, SnapshotSet(np.outer(rng.standard_normal(n_points), v.basis[:, 0]) + off)
+
+
+#: Geometries of the multi-tube batch: (m, n, p, q, r), reference factor,
+#: seed, and whether a tight inner tube and a draw budget of 2 * per_point
+#: leave points short (22 of 40 at seed 4249).  "tail, m > q" has q < n (a
+#: tail block) and m > q.
+MULTI_CASES = {
+    "p=q": ((6, 8, 3, 3, 40), 3, 4242, False),
+    "r=0": ((6, 8, 2, 5, 0), 3, 4242, False),
+    "tail, m > q": ((12, 6, 1, 5, 60), 3, 4242, False),
+    "j_star below last": ((10, 12, 2, 8, 150), 2, 4242, False),
+    "tight budget": ((6, 8, 2, 5, 0), 2, 4249, True),
+}
+
+
+def _multi_case(name):
+    dims, j_star, seed, tight = MULTI_CASES[name]
+    widths, spread = ((0.3, 0.3, 0.3), 0.04) if tight else ((0.9, 0.45, 0.3), 0.2)
+    w, prior, cloud = _nested_prior_case(seed, *dims, widths, spread)
+    return w, prior, cloud, j_star, (12 if tight else None)
+
+
+def _per_point_calls(w, prior, cloud, j_star, max_draws, per_point=6, seed=77):
+    """One ``sample_slice_multi`` call per manifold point, on stream (seed, i)."""
+    bases = compute_suitable_bases(prior.factor(j_star).subspace, w)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PartialSampleWarning)
+        return [
+            sample_slice_multi(
+                observe(h, w), prior, j_star, per_point, max_draws, PiDistribution.mixture(),
+                0.5, derived_rng(seed, i), bases=bases,
+            )
+            for i, h in enumerate(cloud)
+        ]
+
+
 class TestSamplePosterior:
     def test_shape_and_membership(self, rng):
         w, v = random_subspace_pair(rng, 10, 5, 3)
@@ -361,6 +412,69 @@ class TestSamplePosterior:
         small = sample_posterior(SnapshotSet(pts[:2]), w, prior, per_point=5, seed=9)
         large = sample_posterior(SnapshotSet(pts), w, prior, per_point=5, seed=9)
         assert np.array_equal(small.vectors, large.vectors[: 2 * 5])
+
+    def test_per_point_streams_are_stable_multi_tube(self):
+        # Under a nested prior too, a prefix of the cloud gives a bitwise
+        # prefix of the draws (35 points end in a block of 3, 40 in one of 8).
+        w, prior, cloud, j_star, _ = _multi_case("r=0")
+        small = sample_posterior(SnapshotSet(cloud.vectors[:35]), w, prior, 4, d_box=0.5, seed=9)
+        large = sample_posterior(cloud, w, prior, 4, d_box=0.5, seed=9)
+        assert np.array_equal(small.vectors, large.vectors[: 35 * 4])
+
+    @pytest.mark.parametrize("name", MULTI_CASES)
+    def test_multi_tube_batch_equals_per_point_calls(self, name):
+        # Every product of the batch is a per-point product, so it draws bit
+        # for bit what one sample_slice_multi call per point draws.
+        w, prior, cloud, j_star, max_draws = _multi_case(name)
+        calls = _per_point_calls(w, prior, cloud, j_star, max_draws)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PartialSampleWarning)
+            batch = sample_posterior(
+                cloud, w, prior, 6, PiDistribution.mixture(), 0.5, seed=77, j_star=j_star,
+                max_draws_per_point=max_draws,
+            )
+        assert np.array_equal(batch.vectors, np.vstack([c.samples.vectors for c in calls]))
+        if max_draws is None:
+            assert all(c.complete for c in calls)
+        else:
+            # Some points end short, none empty, and points that finish in
+            # the second round drew second chunks of different sizes.
+            assert not all(c.complete for c in calls) and all(c.n_accepted for c in calls)
+            assert len({c.n_draws for c in calls} - {6, max_draws}) >= 2
+
+    def test_short_points_give_one_warning_per_call(self):
+        w, prior, cloud, j_star, max_draws = _multi_case("tight budget")
+        short = [i for i, c in enumerate(_per_point_calls(w, prior, cloud, j_star, max_draws))
+                 if not c.complete]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sample_posterior(
+                cloud, w, prior, 6, PiDistribution.mixture(), 0.5, seed=77, j_star=j_star,
+                max_draws_per_point=max_draws,
+            )
+        assert [c.category for c in caught] == [PartialSampleWarning]
+        assert caught[0].filename == __file__
+        assert f"{len(short)} of 40 manifold points came up short; point {short[0]} " in str(
+            caught[0].message
+        )
+
+    @pytest.mark.parametrize("failure", ["slice has negative", "no draw out of"])
+    def test_multi_tube_error_names_first_failing_point(self, failure):
+        # V lies in W; points 0, 1 and 3 sit on the inner tube's axis.  Point
+        # 2 is observed too far outside V (an empty slice), or lies in V but
+        # so far from the inner tube that no draw of its slice is kept.
+        w, v = prescribed_pair(derived_rng(3107), m=6, n=3, p=3, q=3, r=6)
+        inner = Subspace(np.ascontiguousarray(v.basis[:, :1]))
+        prior = PriorManifold((DegenerateEllipsoid(inner, 0.1), DegenerateEllipsoid(v, 0.06)))
+        pts = np.outer([1.0, -2.0, 0.5, 3.0], v.basis[:, 0])
+        if failure == "no draw out of":
+            pts[2] = v.basis[:, 1]
+        else:
+            pts[2] += 0.5 * w.basis[:, -1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PartialSampleWarning)
+            with pytest.raises(EmptySliceError, match=f"^manifold point 2: {failure}"):
+                sample_posterior(SnapshotSet(pts), w, prior, per_point=3, max_draws_per_point=30)
 
     def test_multi_prior_dispatch(self, rng):
         w, v2 = random_subspace_pair(rng, 12, 6, 4)

@@ -4,9 +4,10 @@ Each example builds (W, V) with prescribed block dimensions: p principal
 cosines equal to 1, q - p strictly between 0 and 1, the rest 0, and an r-dim
 W⊥ ∩ V⊥.  Among the examples are p = q (no interaction block), r = 0, q = n (no
 unobserved prior directions), m > n, n > m, a zero deviation budget and a
-nested two-tube prior.  Every draw must reproduce its observation and stay in
-every tube of the prior, and every finite combined width bound must hold on the
-sampled posterior with a certificate of dimension at most i.
+nested two-tube prior, sampled at several manifold points in one call.  Every
+draw must reproduce its observation and stay in every tube of the prior, and
+every finite combined width bound must hold on the sampled posterior with a
+certificate of dimension at most i.
 """
 
 import warnings
@@ -52,25 +53,30 @@ def geometries(draw):
     )
 
 
-def _build(g):
-    """W, V and a state h whose observation the prior admits."""
+def _build(g, count=1):
+    """W, V and ``count`` states (rows) whose observations the prior admits."""
     rng = np.random.default_rng(g["seed"])
     w_sub, v_sub = prescribed_pair(rng, g["m"], g["n"], g["p"], g["q"], g["r"])
     ambient, v = w_sub.ambient_dim, v_sub.basis
     eps_prime = 0.0 if g["zero_budget"] else rng.uniform(0.01, 1.0)
-    perp = np.zeros(ambient)
-    if not g["zero_budget"]:
-        off_v = rng.standard_normal(ambient)
-        off_v -= v @ (v.T @ off_v)
-        if np.linalg.norm(off_v) > 1e-8:
-            perp = off_v * (rng.uniform(0.0, 0.5) * eps_prime / np.linalg.norm(off_v))
-    h = v @ rng.standard_normal(g["n"]) + perp
-    return w_sub, v_sub, eps_prime, h
+    states = np.empty((count, ambient))
+    for h in states:
+        perp = np.zeros(ambient)
+        if not g["zero_budget"]:
+            off_v = rng.standard_normal(ambient)
+            off_v -= v @ (v.T @ off_v)
+            if np.linalg.norm(off_v) > 1e-8:
+                perp = off_v * (rng.uniform(0.0, 0.5) * eps_prime / np.linalg.norm(off_v))
+        h[:] = v @ rng.standard_normal(g["n"]) + perp
+    return w_sub, v_sub, eps_prime, states
 
 
 def _assert_sound(draws: SnapshotSet, obs, w_sub: Subspace, prior: PriorManifold):
+    """Each draw reproduces one of the observations ``obs`` (rows) and lies
+    in every tube of ``prior``."""
+    obs = np.atleast_2d(obs)
     for s in draws:
-        err = np.linalg.norm(w_sub.basis.T @ s - obs.values)
+        err = np.linalg.norm(w_sub.basis.T @ s - obs, axis=1).min()
         assert err <= 1e-10 * np.linalg.norm(s)
         for e in prior.ellipsoids:
             assert dist(s, e.subspace) <= e.width + 1e-9
@@ -79,34 +85,37 @@ def _assert_sound(draws: SnapshotSet, obs, w_sub: Subspace, prior: PriorManifold
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(geometries())
 def test_draws_reproduce_observation_and_stay_in_every_tube(g):
-    w_sub, v_sub, eps_prime, h = _build(g)
+    w_sub, v_sub, eps_prime, states = _build(g, count=4)
     sb = compute_suitable_bases(v_sub, w_sub)
     assert (sb.m, sb.n, sb.p, sb.q, sb.r) == (g["m"], g["n"], g["p"], g["q"], g["r"])
     pi = PiDistribution.from_name(g["pi"])
-    obs = observe(h, w_sub)
+    obs = [observe(h, w_sub) for h in states]
 
     tube = DegenerateEllipsoid(v_sub, eps_prime)
     prior = PriorManifold((tube,))
-    slice_ = build_slice(obs, tube, sb)
+    slices = [build_slice(o, tube, sb) for o in obs]
     if g["zero_budget"]:
-        assert slice_.radius_sq_budget == 0.0
-    _assert_sound(sample_slice(slice_, 20, pi, g["d_box"], rng=g["seed"]), obs, w_sub, prior)
+        assert all(sl.radius_sq_budget == 0.0 for sl in slices)
+    draws = sample_slice(slices[0], 20, pi, g["d_box"], rng=g["seed"])
+    _assert_sound(draws, obs[0].values, w_sub, prior)
 
     if g["nested"]:
-        # A tube around the leading prior direction whose width puts the slice
-        # center inside and, when the slice has extent, part of it outside,
-        # so the rejection step can drop draws.
+        # A tube around the leading prior direction whose width puts every
+        # slice center inside and, when a slice has extent, part of it
+        # outside, so the rejection step can drop draws.
         inner = Subspace(v_sub.basis[:, :1])
-        max_dev = np.sqrt(slice_.radius_sq_budget) / sb.sigma[sb.p : sb.q].min(initial=1.0)
+        max_dev = np.sqrt(max(sl.radius_sq_budget for sl in slices))
+        max_dev /= sb.sigma[sb.p : sb.q].min(initial=1.0)
         max_dev += g["d_box"] * np.sqrt(sb.n - sb.q)
-        width = dist(slice_.center, inner) + 0.5 * max_dev
+        width = max(dist(sl.center, inner) for sl in slices) + 0.5 * max_dev
         prior = PriorManifold((DegenerateEllipsoid(inner, width), tube))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", PartialSampleWarning)
         cloud = sample_posterior(
-            SnapshotSet(h[None, :]), w_sub, prior, 10, pi, g["d_box"], seed=g["seed"]
+            SnapshotSet(states), w_sub, prior, 10, pi, g["d_box"], seed=g["seed"]
         )
-    _assert_sound(cloud, obs, w_sub, prior)
+    assert len(cloud) <= 4 * 10
+    _assert_sound(cloud, np.array([o.values for o in obs]), w_sub, prior)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
