@@ -65,6 +65,12 @@ class BoundCurve:
         return tuple(min(a, b) for a, b in zip(self.d_bar, self.d_bbar))
 
 
+def check_dimensions(k: int, n: int, m: int) -> None:
+    """Reject a negative k or an n or m below 1."""
+    if k < 0 or n < 1 or m < 1:
+        raise ContractViolation("k must be >= 0 and m, n >= 1")
+
+
 def posterior_width_bounds(
     k: int,
     n: int,
@@ -86,8 +92,7 @@ def posterior_width_bounds(
     sigma = np.asarray(sigma, dtype=float)
     if not (0 <= p <= q <= min(m, n)):
         raise ContractViolation(f"need 0 <= p <= q <= min(m, n), got p={p}, q={q}, m={m}, n={n}")
-    if k < 0 or n < 1 or m < 1:
-        raise ContractViolation("k must be >= 0 and m, n >= 1")
+    check_dimensions(k, n, m)
     if k > n or m + n - p > ambient_dim:
         raise ContractViolation(f"need k <= n, m + n - p <= N = {ambient_dim}: k={k}, n={n}, m={m}")
     if not (math.isfinite(eps) and math.isfinite(eps_prime)) or eps < 0 or eps_prime < 0:

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .bases import TOL_ONE, TOL_ZERO, principal_counts
-from .bounds import format_extended, posterior_width_bounds
+from .bounds import check_dimensions, format_extended, posterior_width_bounds
 from .errors import ConfigError, ContractViolation, EmptySliceError, InfeasibleGeometry
 from .experiment import RunConfig, _build_bundle, posterior_cloud, run_experiment
 from .geometry import SnapshotSet
@@ -108,6 +108,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             raise ConfigError(f"{flag} must be finite and >= 0, got {value}")
     if args.i_max is not None and args.i_max < 0:
         raise ConfigError(f"--i-max must be >= 0, got {args.i_max}")
+    check_dimensions(args.k, args.n, args.m)  # before _parse_sigma sizes sigma by min(m, n)
     sigma = _parse_sigma(args)
     p, q = principal_counts(sigma, TOL_ONE, TOL_ZERO)
     curve = posterior_width_bounds(

@@ -12,9 +12,12 @@ directions ``v*_{q+1..n}``, and a component z in W⊥ ∩ V⊥, constrained by
 
     sum b_j^2 + ||z||^2  <=  budget = eps'^2 - sum_{j>q} <w*_j, h>^2.
 
-``sample_slice`` draws from one slice, each block for all samples at once as
-arrays.  A prior of several ellipsoids is sampled by rejection: draws come from
-a reference factor's slice, and those outside any other factor are dropped.
+``sample_slice`` draws from one slice.  Each slice takes two blocks of random
+numbers per call from its stream, one Gaussian and one uniform; the split
+parameter pi comes from the squared norms of the Gaussian parts, and everything
+else is array arithmetic over all draws.  A prior of several ellipsoids is
+sampled by rejection: draws come from a reference factor's slice, and those
+outside any other factor are dropped.
 ``sample_posterior`` samples a cloud of manifold points: a single tube in one
 batched pass over all points, a prior of several tubes in one rejection loop
 over all points, of which ``sample_slice_multi`` is the one-slice case.  Point
@@ -98,8 +101,11 @@ class PiDistribution:
     pi apportions the deviation budget between the amplified interaction
     directions (share pi^2) and the unconstrained block W⊥ ∩ V⊥ (share
     1 - pi^2).  ``uniform-beta`` uses a ratio of chi-square sums matched to the
-    block dimensions; ``mixture`` additionally pushes most of the mass toward
-    pi = 1 so that samples exercise the amplified directions hard.
+    block dimensions, Beta((q - p) / 2, r / 2); ``mixture`` additionally pushes
+    most of the mass toward pi = 1 so that samples exercise the amplified
+    directions hard.  The sums are the squared norms of the Gaussian rows the
+    sampler draws anyway (:meth:`from_norms`), so pi costs no random numbers
+    beyond ``mixture``'s coin.
     """
 
     kind: str = "uniform-beta"
@@ -125,20 +131,16 @@ class PiDistribution:
             return cls.mixture()
         raise ContractViolation(f"unknown pi distribution name: {name!r}")
 
-    def draw(
-        self, rng: np.random.Generator, n_interaction: int, n_residual: int, count: int
-    ) -> np.ndarray:
-        """``count`` draws of pi for block dimensions (q - p, r)."""
-        if n_interaction == 0:
-            return np.zeros(count)
-        if n_residual == 0:
-            return np.ones(count)
-        xi = rng.standard_normal((count, n_interaction + n_residual))
-        head = np.sum(xi[:, :n_interaction] ** 2, axis=1)
-        tail = np.sum(xi[:, n_interaction:] ** 2, axis=1)
+    def from_norms(self, head: np.ndarray, tail: np.ndarray, coin: np.ndarray) -> np.ndarray:
+        """pi for rows of squared Gaussian norms: ``head`` ~ chi^2(q - p) of
+        the interaction block, ``tail`` ~ chi^2(r) of W⊥ ∩ V⊥, and a uniform
+        ``coin`` per row (``mixture`` scales the head where coin <
+        ``MIXTURE_WEIGHT``).  pi = head / (head + tail), 0 where both are 0.
+        """
         if self.kind == "mixture":
-            head = np.where(rng.random(count) < MIXTURE_WEIGHT, MIXTURE_SCALE * head, head)
-        return head / (head + tail)
+            head = np.where(coin < MIXTURE_WEIGHT, MIXTURE_SCALE * head, head)
+        total = head + tail
+        return np.divide(head, total, out=np.zeros_like(total), where=total > 0)
 
 
 @dataclass(frozen=True)
@@ -208,10 +210,11 @@ def build_slice(obs: Observation, prior: DegenerateEllipsoid, bases: SuitableBas
     )
 
 
-def _rows_with_norms(x: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """Rescale each row of ``x`` in place to the given norm; a zero row stays zero."""
-    current = np.linalg.norm(x, axis=1)
-    x *= np.divide(norms, current, out=np.zeros_like(current), where=current > 0)[:, None]
+def _rows_with_norms(x: np.ndarray, sq_norms: np.ndarray, targets_sq: np.ndarray) -> np.ndarray:
+    """Rescale each row of ``x`` in place from squared norm ``sq_norms`` to
+    ``targets_sq``; a zero row stays zero."""
+    ratio = np.divide(targets_sq, sq_norms, out=np.zeros_like(sq_norms), where=sq_norms > 0)
+    x *= np.sqrt(ratio)[:, None]
     return x
 
 
@@ -233,9 +236,14 @@ def _per_point(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
 class _SliceDraws:
     """The random blocks of ``count`` slice draws, one row per draw.
 
-    :meth:`fill` draws the blocks of one slice into a range of rows from that
-    slice's stream; :meth:`add_to` turns every row into a deviation from its
-    slice center in one pass over all rows.
+    Each row holds one Gaussian block [interaction (q - p) | N-vector (if
+    r > 0)] and one uniform block [mixture coin | budget fraction | tail
+    (n - q)].  :meth:`fill` draws a range of rows from one slice's stream, one
+    generator call per block; :meth:`add_to` turns every row into a deviation
+    from its slice center in one pass over all rows.  pi comes from the
+    squared norms of the row's two Gaussian parts (the N-vector's after its
+    projection onto W⊥ ∩ V⊥): a standard Gaussian's norm is independent of
+    its direction, so these are the independent chi-square sums pi needs.
     """
 
     def __init__(self, bases: SuitableBases, count: int, pi_dist: PiDistribution | None, d_box: float):
@@ -247,45 +255,37 @@ class _SliceDraws:
         self.pi_dist = pi_dist or PiDistribution.uniform_beta()
         self.d_box = d_box
         self.n_int = bases.q - bases.p      # interaction block dimension
-        self.n_res = bases.r                # dim(W⊥ ∩ V⊥)
-        self.n_tail = bases.n - bases.q     # unobserved prior directions
-        self.pi = np.zeros(count)
-        self.gamma = np.zeros(count)
-        self.dirs = np.empty((count, self.n_int))
-        self.gauss = np.empty((count, bases.ambient_dim if self.n_res else 0))
-        self.tail = np.empty((count, self.n_tail))
+        self.gauss = np.empty((count, self.n_int + (bases.ambient_dim if bases.r else 0)))
+        self.unif = np.empty((count, 2 + bases.n - bases.q))
 
-    def fill(self, rows: slice, gen: np.random.Generator, budget: float) -> None:
-        """Draw one slice's blocks into ``rows``: pi, gamma, the directions,
-        the N-vector Gaussian and the tail, in that stream order."""
-        n = self.pi[rows].shape[0]
-        if self.n_int or self.n_res:
-            self.pi[rows] = self.pi_dist.draw(gen, self.n_int, self.n_res, n)
-            self.gamma[rows] = gen.uniform(0.0, budget, size=n)
-            if self.n_int:
-                gen.standard_normal(out=self.dirs[rows])
-            if self.n_res:
-                gen.standard_normal(out=self.gauss[rows])
-        if self.n_tail:
-            self.tail[rows] = gen.uniform(-self.d_box, self.d_box, size=(n, self.n_tail))
+    def fill(self, rows: slice, gen: np.random.Generator) -> None:
+        """Draw one slice's blocks into ``rows``: the Gaussian block, then the
+        uniform block."""
+        gen.standard_normal(out=self.gauss[rows])
+        gen.random(out=self.unif[rows])
 
-    def add_to(self, out: np.ndarray, stacks: int = 1) -> np.ndarray:
+    def add_to(self, out: np.ndarray, budgets: np.ndarray | float, stacks: int = 1) -> np.ndarray:
         """Add every row's deviation to ``out`` (the rows' slice centers) in
-        place; the blocks are overwritten on the way.  With ``stacks`` > 1 the
-        rows are that many equal stacks, and every product is taken per stack
-        (see :func:`_times`)."""
+        place, with ``budgets`` the rows' squared deviation budgets; the blocks
+        are overwritten on the way.  With ``stacks`` > 1 the rows are that
+        many equal stacks, and every product is taken per stack (see
+        :func:`_times`)."""
         b = self.bases
+        dirs, g = self.gauss[:, : self.n_int], self.gauss[:, self.n_int :]
+        if b.r:
+            comp = b.complement_onb
+            g -= _times(_times(g, comp, stacks), comp.T, stacks)
+        head, tail = np.sum(dirs * dirs, axis=1), np.sum(g * g, axis=1)
+        pi = self.pi_dist.from_norms(head, tail, self.unif[:, 0])
+        gamma = self.unif[:, 1] * budgets
         if self.n_int:
-            coeffs = _rows_with_norms(self.dirs, np.sqrt(self.gamma) * self.pi)
+            coeffs = _rows_with_norms(dirs, head, gamma * pi**2)
             # along sigma_j^{-1} wt_j
             out -= _times(coeffs / b.sigma[b.p : b.q], b.w_tilde.T, stacks)
-        if self.n_res:
-            comp = b.complement_onb
-            g = self.gauss
-            g -= _times(_times(g, comp, stacks), comp.T, stacks)
-            out += _rows_with_norms(g, np.sqrt(self.gamma * (1.0 - self.pi**2)))
-        if self.n_tail:
-            out += _times(self.tail, b.v_star_tail.T, stacks)
+        if b.r:
+            out += _rows_with_norms(g, tail, gamma * (1.0 - pi**2))
+        if b.n > b.q:
+            out += _times(self.d_box * (2.0 * self.unif[:, 2:] - 1.0), b.v_star_tail.T, stacks)
         return out
 
 
@@ -298,19 +298,23 @@ def sample_slice(
 ) -> SnapshotSet:
     """Draw ``n_samples`` points of the slice.
 
-    Each block is drawn for all samples at once: pi, then a budget fraction
-    gamma ~ U[0, budget]; gamma * pi^2 of squared norm goes on the interaction
-    coefficients b (a normalized Gaussian row, i.e. a uniform direction),
-    gamma * (1 - pi^2) on z ∈ W⊥ ∩ V⊥ (a Gaussian row projected off the
-    complement blocks, then normalized), and d_j ~ U[-d_box, d_box] on the
-    unobserved prior directions.  Every output reproduces the observation
+    The stream gives one Gaussian block (a (q - p)-row for the interaction
+    coefficients b, then an N-row if r > 0) and one uniform block (mixture
+    coin, budget fraction, n - q tail coordinates) for all samples.  A budget
+    fraction gamma ~ U[0, budget] is split by pi (see
+    :meth:`PiDistribution.from_norms`, fed the two rows' squared norms):
+    gamma * pi^2 of squared norm goes on b (the normalized Gaussian row, a
+    uniform direction), gamma * (1 - pi^2) on z ∈ W⊥ ∩ V⊥ (the N-row projected
+    off the complement blocks, then normalized), and d_j ~ U[-d_box, d_box] on
+    the unobserved prior directions.  Every output reproduces the observation
     exactly and stays within the prior width.
     """
     draws = _SliceDraws(slice_.bases, n_samples, pi_dist, d_box)
     if slice_.is_empty:
         raise _slice_error(_negative_budget(slice_.radius_sq_budget))
-    draws.fill(slice(None), as_rng(rng), slice_.radius_sq_budget)
-    return SnapshotSet(draws.add_to(np.tile(slice_.center, (n_samples, 1))))
+    draws.fill(slice(None), as_rng(rng))
+    out = np.tile(slice_.center, (n_samples, 1))
+    return SnapshotSet(draws.add_to(out, slice_.radius_sq_budget))
 
 
 @dataclass(frozen=True)
@@ -385,7 +389,7 @@ def _rejection_sample(
                 pts = short[chunks == chunk]
                 draws = _SliceDraws(bases, pts.size * chunk, pi_dist, d_box)
                 for k, i in enumerate(pts):
-                    draws.fill(slice(k * chunk, (k + 1) * chunk), rngs[i], budgets[i])
+                    draws.fill(slice(k * chunk, (k + 1) * chunk), rngs[i])
                 # The first round draws n_samples for every point of the block
                 # straight into their rows of ``out``; a redraw round draws into
                 # a scratch array and copies the kept rows after them.
@@ -395,7 +399,7 @@ def _rejection_sample(
                 else:
                     batch = np.empty((pts.size, chunk, ambient))
                 batch[:] = centers[pts - start]
-                draws.add_to(batch.reshape(-1, ambient), pts.size)
+                draws.add_to(batch.reshape(-1, ambient), np.repeat(budgets[pts], chunk), pts.size)
                 ok = np.ones((pts.size, chunk), dtype=bool)
                 for e in others:
                     bb = e.subspace.basis
@@ -533,10 +537,10 @@ def sample_posterior(
         i = int(empty[0])
         raise _slice_error(_negative_budget(budgets[i]), i)
     for i in range(n_points):
-        draws.fill(slice(i * per_point, (i + 1) * per_point), derived_rng(seed, i), budgets[i])
+        draws.fill(slice(i * per_point, (i + 1) * per_point), derived_rng(seed, i))
     out = np.empty((n_points * per_point, bases.ambient_dim))
     out.reshape(n_points, per_point, -1)[:] = bases.slice_centers(a_star)[:, None, :]
-    return SnapshotSet(draws.add_to(out))
+    return SnapshotSet(draws.add_to(out, np.repeat(budgets, per_point)))
 
 
 def union_set_contains(

@@ -130,6 +130,15 @@ class TestBounds:
         ]
         assert main(args) == 3
         assert "numerical failure" in capsys.readouterr().err
+        # A negative --n or --m (no --sigma) is caught before sigma is sized by it.
+        for n, m in (("-4", "3"), ("4", "-3")):
+            args = [
+                "bounds", "--k", "1", "--n", n, "--m", m, "--ambient", "20",
+                "--eps", "0.1", "--eps-prime", "0.2",
+            ]
+            assert main(args) == 3
+            err = capsys.readouterr().err
+            assert "numerical failure" in err and "m, n >= 1" in err
 
     @pytest.mark.parametrize(
         "k, n, ambient", [("2", "3", "-5"), ("6", "4", "10")], ids=["negative-ambient", "k-above-n"]

@@ -1,10 +1,12 @@
 """Tests for posterior-slice construction and sampling."""
 
+import json
 import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import stats
 
 from conftest import prescribed_pair, random_orthonormal, random_subspace_pair
 from partialrom.bases import compute_suitable_bases
@@ -19,6 +21,8 @@ from partialrom.geometry import (
 from partialrom.rng import derived_rng
 from partialrom.sampling import (
     DEFAULT_D_BOX,
+    MIXTURE_SCALE,
+    MIXTURE_WEIGHT,
     Observation,
     PiDistribution,
     build_slice,
@@ -51,22 +55,32 @@ class TestObserve:
             observe_cloud(SnapshotSet(np.ones((2, 5))), Subspace(np.eye(4)[:, :1]))
 
 
+def _norm_sums(gen, n_interaction, n_residual, count):
+    """Squared norms of ``count`` Gaussian rows of the two block dimensions,
+    and ``count`` mixture coins."""
+    xi = gen.standard_normal((count, n_interaction + n_residual))
+    head = np.sum(xi[:, :n_interaction] ** 2, axis=1)
+    tail = np.sum(xi[:, n_interaction:] ** 2, axis=1)
+    return head, tail, gen.random(count)
+
+
 class TestPiDistribution:
     def test_degenerate_block_dimensions(self):
         gen = derived_rng(0)
-        assert np.array_equal(PiDistribution.uniform_beta().draw(gen, 0, 5, 3), np.zeros(3))
-        assert np.array_equal(PiDistribution.uniform_beta().draw(gen, 3, 0, 3), np.ones(3))
+        dist_ = PiDistribution.uniform_beta()
+        assert np.array_equal(dist_.from_norms(*_norm_sums(gen, 0, 5, 3)), np.zeros(3))
+        assert np.array_equal(dist_.from_norms(*_norm_sums(gen, 3, 0, 3)), np.ones(3))
 
     def test_draws_in_unit_interval(self):
         gen = derived_rng(1)
         for dist_ in (PiDistribution.uniform_beta(), PiDistribution.mixture()):
-            draws = dist_.draw(gen, 2, 4, 200)
+            draws = dist_.from_norms(*_norm_sums(gen, 2, 4, 200))
             assert draws.shape == (200,)
             assert np.all((0.0 <= draws) & (draws <= 1.0))
 
     def test_mixture_concentrates_near_one(self):
         gen = derived_rng(2)
-        draws = PiDistribution.mixture().draw(gen, 2, 4, 500)
+        draws = PiDistribution.mixture().from_norms(*_norm_sums(gen, 2, 4, 500))
         assert np.mean(draws > 0.99) > 0.6
 
     def test_from_name(self):
@@ -215,6 +229,59 @@ class TestSampleSlice:
             sample_slice(sl, 0)
         with pytest.raises(ContractViolation):
             sample_slice(sl, 5, d_box=-1.0)
+
+
+    @pytest.mark.parametrize("kind", ["uniform-beta", "mixture"])
+    @pytest.mark.parametrize("dims", [(3, 4, 1, 3, 4), (6, 7, 1, 6, 170)], ids=["2,4", "5,170"])
+    def test_pi_law(self, kind, dims):
+        # pi is read back off the samples: b_j = -sigma_j <wt_j, h - c> on the
+        # interaction block, z the part of h - c off the complement blocks,
+        # pi = |b| / sqrt(|b|^2 + |z|^2).  For block dimensions (q - p, r) it
+        # is Beta((q - p) / 2, r / 2), or for ``mixture`` the mix of that with
+        # the law of the pi whose interaction chi-square is scaled.
+        rng = derived_rng(5150)
+        w, v = prescribed_pair(rng, *dims)
+        sb = compute_suitable_bases(v, w)
+        a, b = (sb.q - sb.p) / 2, sb.r / 2
+        assert (2 * a, 2 * b) == (dims[3] - dims[2], dims[4])
+        obs = observe(v.basis @ rng.standard_normal(sb.n), w)
+        sl = build_slice(obs, DegenerateEllipsoid(v, 0.7), sb)
+        out = sample_slice(sl, 4000, PiDistribution.from_name(kind), rng=derived_rng(5151))
+        dev = out.vectors - sl.center
+        coeffs = -(dev @ sb.w_tilde) * sb.sigma[sb.p : sb.q]
+        comp = sb.complement_onb
+        z = dev - (dev @ comp) @ comp.T
+        head, tail = np.sum(coeffs**2, axis=1), np.sum(z**2, axis=1)
+        pi = np.sqrt(head / (head + tail))
+        beta = stats.beta(a, b).cdf
+        if kind == "uniform-beta":
+            cdf = beta
+        else:
+            def cdf(x):
+                scaled = x / (x + MIXTURE_SCALE * (1.0 - x))
+                return MIXTURE_WEIGHT * beta(scaled) + (1.0 - MIXTURE_WEIGHT) * beta(x)
+        assert stats.kstest(pi, cdf).pvalue > 0.01
+
+    @pytest.mark.parametrize(
+        "dims", [(3, 4, 1, 3, 4), (4, 2, 0, 2, 0), (2, 5, 0, 2, 3), (3, 3, 3, 3, 2)],
+        ids=["tail", "r=0", "m < n", "p=q"],
+    )
+    def test_stream_layout(self, dims):
+        # A slice of k samples takes one Gaussian block [interaction q - p |
+        # N-vector, if r > 0] and one uniform block [mixture coin | budget
+        # fraction | tail n - q] from its stream, in that order.  A change to
+        # this layout changes every posterior draw.
+        rng = derived_rng(77)
+        w, v = prescribed_pair(rng, *dims)
+        sb = compute_suitable_bases(v, w)
+        obs = observe(v.basis @ rng.standard_normal(sb.n), w)
+        sl = build_slice(obs, DegenerateEllipsoid(v, 0.5), sb)
+        gen, twin = derived_rng(3, 1), derived_rng(3, 1)
+        sample_slice(sl, 7, PiDistribution.mixture(), rng=gen)
+        twin.standard_normal((7, sb.q - sb.p + (sb.ambient_dim if sb.r else 0)))
+        twin.random((7, 2 + sb.n - sb.q))
+        state = lambda g: json.dumps(g.bit_generator.state, default=np.ndarray.tolist)
+        assert state(gen) == state(twin)
 
 
 class TestMaxDeviation:
