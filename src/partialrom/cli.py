@@ -79,6 +79,11 @@ def _cmd_run(args: argparse.Namespace, setup: int) -> int:
     return EXIT_OK
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
+
+
 def _parse_sigma(args: argparse.Namespace) -> np.ndarray:
     n_pairs = min(args.m, args.n)
     if args.sigma:
@@ -108,6 +113,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             raise ConfigError(f"{flag} must be finite and >= 0, got {value}")
     if args.i_max is not None and args.i_max < 0:
         raise ConfigError(f"--i-max must be >= 0, got {args.i_max}")
+    _check_seed(args.seed)
     check_dimensions(args.k, args.n, args.m)  # before _parse_sigma sizes sigma by min(m, n)
     sigma = _parse_sigma(args)
     p, q = principal_counts(sigma, TOL_ONE, TOL_ZERO)
@@ -181,6 +187,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 def _cmd_selftest(args: argparse.Namespace) -> int:
     from .selftest import run_selftest
 
+    _check_seed(args.seed)
     failures = run_selftest(seed=args.seed, verbose=True)
     return EXIT_OK if failures == 0 else EXIT_NUMERICAL
 

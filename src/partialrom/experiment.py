@@ -105,6 +105,8 @@ class RunConfig:
             raise ConfigError(f"j_star must be 0 or in [1, {self.n_factors}], got {self.j_star}")
         if self.k_intrinsic < 0 or self.jobs < 0:
             raise ConfigError("k_intrinsic and jobs must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.setup == 1:
             if self.cells < 2 or self.cells % 2:
                 raise ConfigError(f"cells must be an even integer >= 2, got {self.cells}")

@@ -15,16 +15,15 @@ directions ``v*_{q+1..n}``, and a component z in W⊥ ∩ V⊥, constrained by
 ``sample_slice`` draws from one slice.  Each slice takes two blocks of random
 numbers per call from its stream, one Gaussian and one uniform; the split
 parameter pi comes from the squared norms of the Gaussian parts, and everything
-else is array arithmetic over all draws.  A prior of several ellipsoids is
+else is array arithmetic over all draws.  A prior of one or more ellipsoids is
 sampled by rejection: draws come from a reference factor's slice, and those
-outside any other factor are dropped.
-``sample_posterior`` samples a cloud of manifold points: a single tube in one
-batched pass over all points, a prior of several tubes in one rejection loop
-over all points, of which ``sample_slice_multi`` is the one-slice case.  Point
-i draws from the derived stream (seed, i) alone.  The rejection loop takes
-every product per point (stacked ``np.matmul``), so its draws are bitwise those
-of a one-point call; the single-tube pass uses GEMMs over all rows, which
-match a one-point redraw up to rounding.
+outside any other factor are dropped (a single tube has no other factor, so
+every draw is kept).  One rejection loop does all sampling:
+``sample_posterior`` runs it over a cloud of manifold points, and
+``sample_slice`` and ``sample_slice_multi`` are its one-point calls.  Point i
+draws from the derived stream (seed, i) alone, and every product is taken per
+point (stacked ``np.matmul``), so its draws are bitwise those of a one-point
+call.
 """
 
 from __future__ import annotations
@@ -222,8 +221,6 @@ def _times(x: np.ndarray, mat: np.ndarray, stacks: int) -> np.ndarray:
     """``x @ mat`` for rows ``x`` that form ``stacks`` equal stacks, one
     product per stack.  A stack's rows round as they would alone; one GEMM
     over rows of several stacks may round them differently."""
-    if stacks == 1:
-        return x @ mat
     return (x.reshape(stacks, -1, x.shape[1]) @ mat).reshape(x.shape[0], -1)
 
 
@@ -247,10 +244,6 @@ class _SliceDraws:
     """
 
     def __init__(self, bases: SuitableBases, count: int, pi_dist: PiDistribution | None, d_box: float):
-        if count < 1:
-            raise ContractViolation(f"n_samples must be >= 1, got {count}")
-        if d_box < 0:
-            raise ContractViolation(f"d_box must be >= 0, got {d_box}")
         self.bases = bases
         self.pi_dist = pi_dist or PiDistribution.uniform_beta()
         self.d_box = d_box
@@ -264,12 +257,11 @@ class _SliceDraws:
         gen.standard_normal(out=self.gauss[rows])
         gen.random(out=self.unif[rows])
 
-    def add_to(self, out: np.ndarray, budgets: np.ndarray | float, stacks: int = 1) -> np.ndarray:
+    def add_to(self, out: np.ndarray, budgets: np.ndarray, stacks: int) -> np.ndarray:
         """Add every row's deviation to ``out`` (the rows' slice centers) in
         place, with ``budgets`` the rows' squared deviation budgets; the blocks
-        are overwritten on the way.  With ``stacks`` > 1 the rows are that
-        many equal stacks, and every product is taken per stack (see
-        :func:`_times`)."""
+        are overwritten on the way.  The rows are ``stacks`` equal stacks, one
+        per point, and every product is taken per stack (see :func:`_times`)."""
         b = self.bases
         dirs, g = self.gauss[:, : self.n_int], self.gauss[:, self.n_int :]
         if b.r:
@@ -307,14 +299,16 @@ def sample_slice(
     uniform direction), gamma * (1 - pi^2) on z ∈ W⊥ ∩ V⊥ (the N-row projected
     off the complement blocks, then normalized), and d_j ~ U[-d_box, d_box] on
     the unobserved prior directions.  Every output reproduces the observation
-    exactly and stays within the prior width.
+    exactly and stays within the prior width.  This is the one-point call of
+    the rejection loop of :func:`sample_posterior` on the slice's own tube,
+    which keeps every draw.
     """
-    draws = _SliceDraws(slice_.bases, n_samples, pi_dist, d_box)
-    if slice_.is_empty:
-        raise _slice_error(_negative_budget(slice_.radius_sq_budget))
-    draws.fill(slice(None), as_rng(rng))
-    out = np.tile(slice_.center, (n_samples, 1))
-    return SnapshotSet(draws.add_to(out, slice_.radius_sq_budget))
+    b = slice_.bases
+    samples, _, _ = _rejection_sample(
+        slice_.w_star_coeffs[None, :], PriorManifold.single(b.v_subspace, slice_.width), 1,
+        n_samples, None, pi_dist, d_box, [as_rng(rng)], b, name_points=False,
+    )
+    return SnapshotSet(samples)
 
 
 @dataclass(frozen=True)
@@ -347,7 +341,7 @@ def _rejection_sample(
     prior: PriorManifold,
     j_star: int,
     n_samples: int,
-    max_draws: int,
+    max_draws: int | None,
     pi_dist: PiDistribution | None,
     d_box: float,
     rngs: list[np.random.Generator],
@@ -357,10 +351,12 @@ def _rejection_sample(
     """Rejection-sample the posterior of every row of w*-coefficients
     ``a_star`` (one row per manifold point) under ``prior``.
 
-    Point i draws from ``rngs[i]`` in the reference factor ``j_star``'s slice:
-    ``n_samples`` first, then what it still lacks, until it holds
-    ``n_samples`` or has drawn ``max_draws``.  A draw is kept iff it lies
-    within every other factor's width.  Points go in blocks of
+    ``n_samples``, ``max_draws`` (see :func:`_draw_limit`) and ``d_box`` are
+    checked before any slice is looked at.  Point i draws from ``rngs[i]`` in
+    the reference factor ``j_star``'s slice: ``n_samples`` first, then what it
+    still lacks, until it holds ``n_samples`` or has drawn ``max_draws``.  A
+    draw is kept iff it lies within every other factor's width, so a single
+    tube keeps its first round whole.  Points go in blocks of
     ``_BLOCK_POINTS``; in each round the points of a block that draw the same
     number are drawn together, with every product taken per point, so each
     point's draws are bitwise those of a one-point call.
@@ -371,6 +367,9 @@ def _rejection_sample(
     whose slice is empty or that kept no draw raises :class:`EmptySliceError`,
     naming the point if ``name_points``.
     """
+    max_draws = _draw_limit(n_samples, max_draws)
+    if d_box < 0:
+        raise ContractViolation(f"d_box must be >= 0, got {d_box}")
     ref = prior.factor(j_star)
     others = [e for i, e in enumerate(prior.ellipsoids) if i != j_star - 1]
     n_points, ambient = a_star.shape[0], bases.ambient_dim
@@ -460,9 +459,7 @@ def sample_slice_multi(
     result returned with ``complete=False``.  This is the one-slice case of
     the rejection loop :func:`sample_posterior` runs over a cloud.
     """
-    ref = prior.factor(j_star)
-    max_draws = _draw_limit(n_samples, max_draws)
-    _check_bases(bases, ref)
+    _check_bases(bases, prior.factor(j_star))
     samples, kept, drawn = _rejection_sample(
         bases.w_star_coefficients(obs.values)[None, :], prior, j_star, n_samples, max_draws,
         pi_dist, d_box, [as_rng(rng)], bases, name_points=False,
@@ -491,20 +488,14 @@ def sample_posterior(
     Point i draws from the derived stream (seed, i) alone, so its random
     numbers do not depend on the other points or on the iteration order.
 
-    A single tube is sampled in one batched pass: every point's observation,
-    slice center and budget come from one array operation each, each point
-    draws its blocks from its own stream into its rows (as
-    :func:`sample_slice` does), and the rows become states in one pass.  Its
-    GEMMs over all rows round differently from one-point products, so a
-    one-point redraw matches to rounding.
-
-    A prior of several tubes runs one rejection loop over all points, in
-    blocks (the reference factor defaults to the last, tightest one).  Each
-    point draws the chunks :func:`sample_slice_multi` would, and every product
-    (observation, w*-coefficients, center, deviation blocks, each factor's
-    residual) is a per-point product in a stacked ``np.matmul``, so point i's
-    samples are bitwise those of ``sample_slice_multi`` on its observation
-    with ``derived_rng(seed, i)``.  Points left short give one
+    One rejection loop runs over all points, in blocks, whatever the number of
+    tubes (the reference factor defaults to the last, tightest one; a single
+    tube rejects nothing).  Each point draws the chunks
+    :func:`sample_slice_multi` would, and every product (observation,
+    w*-coefficients, center, deviation blocks, each factor's residual) is a
+    per-point product in a stacked ``np.matmul``, so point i's samples are
+    bitwise those of ``sample_slice_multi`` on its observation with
+    ``derived_rng(seed, i)``.  Points left short give one
     :class:`PartialSampleWarning` per call, and :class:`EmptySliceError` names
     the first point whose slice is empty or that kept no draw.
     """
@@ -512,35 +503,16 @@ def sample_posterior(
         prior = PriorManifold((prior,))
     if j_star is None:
         j_star = prior.n_factors
-    ref = prior.factor(j_star)
-    bases = compute_suitable_bases(ref.subspace, w_subspace)
-    if prior.n_factors > 1:
-        max_draws = _draw_limit(per_point, max_draws_per_point)
-        if manifold_samples.ambient_dim != w_subspace.ambient_dim:
-            raise ContractViolation("cloud and W live in different ambient dimensions")
-        obs = _per_point(w_subspace.basis.T, manifold_samples.vectors)
-        rngs = [derived_rng(seed, i) for i in range(len(manifold_samples))]
-        samples, _, _ = _rejection_sample(
-            _per_point(bases.w_rotation.T, obs), prior, j_star, per_point, max_draws,
-            pi_dist, d_box, rngs, bases, name_points=True,
-        )
-        return SnapshotSet(samples)
-
-    # One tube: no draw is rejected, so the budget only has to admit per_point.
-    _draw_limit(per_point, max_draws_per_point)
-    n_points = len(manifold_samples)
-    draws = _SliceDraws(bases, n_points * per_point, pi_dist, d_box)
-    a_star = observe_cloud(manifold_samples, w_subspace) @ bases.w_rotation
-    budgets = _deviation_budgets(a_star, ref.width, bases)
-    empty = np.flatnonzero(budgets < 0.0)
-    if empty.size:
-        i = int(empty[0])
-        raise _slice_error(_negative_budget(budgets[i]), i)
-    for i in range(n_points):
-        draws.fill(slice(i * per_point, (i + 1) * per_point), derived_rng(seed, i))
-    out = np.empty((n_points * per_point, bases.ambient_dim))
-    out.reshape(n_points, per_point, -1)[:] = bases.slice_centers(a_star)[:, None, :]
-    return SnapshotSet(draws.add_to(out, np.repeat(budgets, per_point)))
+    bases = compute_suitable_bases(prior.factor(j_star).subspace, w_subspace)
+    if manifold_samples.ambient_dim != w_subspace.ambient_dim:
+        raise ContractViolation("cloud and W live in different ambient dimensions")
+    obs = _per_point(w_subspace.basis.T, manifold_samples.vectors)
+    rngs = [derived_rng(seed, i) for i in range(len(manifold_samples))]
+    samples, _, _ = _rejection_sample(
+        _per_point(bases.w_rotation.T, obs), prior, j_star, per_point, max_draws_per_point,
+        pi_dist, d_box, rngs, bases, name_points=True,
+    )
+    return SnapshotSet(samples)
 
 
 def union_set_contains(

@@ -403,3 +403,20 @@ class TestArgparseBehavior:
         with pytest.raises(SystemExit) as exc:
             main(["setup2"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["setup2", "sample", "bounds", "selftest"])
+def test_negative_seed_exits_2(tmp_path, capsys, command):
+    # Every seed feeds np.random.SeedSequence, which takes no negative entropy;
+    # a negative seed is a configuration error, caught before any stream.
+    args = {
+        "setup2": ["setup2", "--out", str(tmp_path / "x"), "--seed", "-1"],
+        "sample": ["sample", "--setup", "2", "--out", str(tmp_path / "s.csv"), "--seed", "-3"],
+        "bounds": [
+            "bounds", "--k", "1", "--n", "4", "--m", "3", "--ambient", "20",
+            "--sigma-mode", "random", "--seed", "-1", "--eps", "0.1", "--eps-prime", "0.2",
+        ],
+        "selftest": ["selftest", "--seed", "-1"],
+    }[command]
+    assert main(args) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err

@@ -20,7 +20,6 @@ from partialrom.geometry import (
 )
 from partialrom.rng import derived_rng
 from partialrom.sampling import (
-    DEFAULT_D_BOX,
     MIXTURE_SCALE,
     MIXTURE_WEIGHT,
     Observation,
@@ -421,16 +420,21 @@ def _nested_prior_case(seed, m, n, p, q, r, widths, spread, n_points=40):
     return w, prior, SnapshotSet(np.outer(rng.standard_normal(n_points), v.basis[:, 0]) + off)
 
 
-#: Geometries of the multi-tube batch: (m, n, p, q, r), reference factor,
+#: Geometries of the posterior batch: (m, n, p, q, r), reference factor,
 #: seed, and whether a tight inner tube and a draw budget of 2 * per_point
 #: leave points short (22 of 40 at seed 4249).  "tail, m > q" has q < n (a
-#: tail block) and m > q.
+#: tail block) and m > q.  A reference factor of None samples the outermost
+#: tube alone, a single-factor prior; "1 tube, N=300" has every block.
 MULTI_CASES = {
     "p=q": ((6, 8, 3, 3, 40), 3, 4242, False),
     "r=0": ((6, 8, 2, 5, 0), 3, 4242, False),
     "tail, m > q": ((12, 6, 1, 5, 60), 3, 4242, False),
     "j_star below last": ((10, 12, 2, 8, 150), 2, 4242, False),
     "tight budget": ((6, 8, 2, 5, 0), 2, 4249, True),
+    "1 tube, p=q": ((6, 8, 3, 3, 40), None, 4242, False),
+    "1 tube, r=0": ((6, 8, 2, 5, 0), None, 4242, False),
+    "1 tube, tail": ((12, 6, 1, 5, 60), None, 4242, False),
+    "1 tube, N=300": ((10, 12, 2, 8, 280), None, 7117, False),
 }
 
 
@@ -438,6 +442,8 @@ def _multi_case(name):
     dims, j_star, seed, tight = MULTI_CASES[name]
     widths, spread = ((0.3, 0.3, 0.3), 0.04) if tight else ((0.9, 0.45, 0.3), 0.2)
     w, prior, cloud = _nested_prior_case(seed, *dims, widths, spread)
+    if j_star is None:
+        prior, j_star = PriorManifold(prior.ellipsoids[-1:]), 1
     return w, prior, cloud, j_star, (12 if tight else None)
 
 
@@ -491,7 +497,8 @@ class TestSamplePosterior:
     @pytest.mark.parametrize("name", MULTI_CASES)
     def test_multi_tube_batch_equals_per_point_calls(self, name):
         # Every product of the batch is a per-point product, so it draws bit
-        # for bit what one sample_slice_multi call per point draws.
+        # for bit what one sample_slice_multi call per point draws, with one
+        # tube or several.
         w, prior, cloud, j_star, max_draws = _multi_case(name)
         calls = _per_point_calls(w, prior, cloud, j_star, max_draws)
         with warnings.catch_warnings():
@@ -543,6 +550,29 @@ class TestSamplePosterior:
             with pytest.raises(EmptySliceError, match=f"^manifold point 2: {failure}"):
                 sample_posterior(SnapshotSet(pts), w, prior, per_point=3, max_draws_per_point=30)
 
+    @pytest.mark.parametrize("n_samples, d_box", [(0, 1.0), (3, -1.0)])
+    @pytest.mark.parametrize("tubes", [1, 2])
+    def test_arguments_are_checked_before_any_slice(self, tubes, n_samples, d_box):
+        # A bad sample count or d_box is an argument error even where the
+        # first slice is empty, at every entry point of the rejection loop.
+        w, v = prescribed_pair(derived_rng(3107), m=6, n=3, p=3, q=3, r=6)
+        inner = Subspace(np.ascontiguousarray(v.basis[:, :1]))
+        factors = (DegenerateEllipsoid(inner, 0.1), DegenerateEllipsoid(v, 0.06))
+        prior = PriorManifold(factors[-tubes:])
+        h = v.basis[:, 0] + 0.5 * w.basis[:, -1]  # observed too far outside V
+        bases = compute_suitable_bases(v, w)
+        obs = observe(h, w)
+        sl = build_slice(obs, prior.factor(tubes), bases)
+        assert sl.is_empty
+        calls = [
+            lambda: sample_posterior(SnapshotSet(h[None, :]), w, prior, n_samples, d_box=d_box),
+            lambda: sample_slice_multi(obs, prior, tubes, n_samples, d_box=d_box, bases=bases),
+            lambda: sample_slice(sl, n_samples, d_box=d_box),
+        ]
+        for call in calls:
+            with pytest.raises(ContractViolation, match="^(n_samples|d_box) must be >= "):
+                call()
+
     def test_multi_prior_dispatch(self, rng):
         w, v2 = random_subspace_pair(rng, 12, 6, 4)
         v1 = Subspace(np.ascontiguousarray(v2.basis[:, :2]))
@@ -576,33 +606,6 @@ class TestSamplePosterior:
             sample_posterior(cloud, w, prior, per_point=5, max_draws_per_point=2)
         out = sample_posterior(cloud, w, prior, per_point=5, max_draws_per_point=5)
         assert len(out) == 15
-
-    def test_single_tube_batch_matches_per_point_draws(self):
-        # The batched single-tube pass draws what one sample_slice_multi call
-        # per point draws from the same (seed, i) stream, up to rounding.
-        rng = derived_rng(7117)
-        w, v = prescribed_pair(rng, m=10, n=12, p=2, q=8, r=280)
-        assert w.ambient_dim == 300
-        off_v = rng.standard_normal((30, 300))
-        off_v -= (off_v @ v.basis) @ v.basis.T
-        off_v *= rng.uniform(0.0, 0.4, 30)[:, None] / np.linalg.norm(off_v, axis=1)[:, None]
-        cloud = SnapshotSet((v.basis @ rng.standard_normal((12, 30))).T + off_v)
-        prior = DegenerateEllipsoid(v, 0.5)
-        pi = PiDistribution.mixture()
-        bases = compute_suitable_bases(v, w)
-        assert 0 < bases.p < bases.q < bases.n and bases.r > 0
-        batch = sample_posterior(cloud, w, prior, per_point=5, pi_dist=pi, seed=31).vectors
-        per_point = np.vstack([
-            sample_slice_multi(
-                observe(h, w), PriorManifold((prior,)), 1, 5, None, pi, DEFAULT_D_BOX,
-                derived_rng(31, i), bases=bases,
-            ).samples.vectors
-            for i, h in enumerate(cloud)
-        ])
-        assert batch.shape == per_point.shape == (150, 300)
-        assert np.all(
-            np.linalg.norm(batch - per_point, axis=1) <= 1e-12 * np.linalg.norm(per_point, axis=1)
-        )
 
     def test_one_inconsistent_point_raises(self, rng):
         w, v = random_subspace_pair(rng, 12, 6, 3)
