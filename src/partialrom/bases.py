@@ -103,11 +103,12 @@ class SuitableBases:
         return np.linalg.qr(comp, mode="complete")[0][:, comp.shape[1]:]
 
     def w_star_coefficients(self, obs_values: np.ndarray) -> np.ndarray:
-        """Rotate raw observation values <w_i, h> into <w*_j, h> = (X^T obs)_j."""
+        """Rotate raw observation values <w_i, h> into <w*_j, h> = (X^T obs)_j,
+        for one (m,) or rows (count, m), each row its own product."""
         obs = np.asarray(obs_values, dtype=float)
-        if obs.shape != (self.m,):
+        if obs.ndim not in (1, 2) or obs.shape[-1] != self.m:
             raise ContractViolation(f"expected {self.m} observation values, got shape {obs.shape}")
-        return self.w_rotation.T @ obs
+        return np.matmul(self.w_rotation.T, obs[..., None])[..., 0]
 
     def slice_centers(self, a_star: np.ndarray) -> np.ndarray:
         """Slice centers for rows of w*-coefficients: (..., m) -> (..., N).
@@ -120,6 +121,13 @@ class SuitableBases:
         if self.m > q:
             centers = centers + a_star[..., q:] @ self.w_star[:, q:].T
         return centers
+
+
+def _column_signs(mat: np.ndarray) -> np.ndarray:
+    """Per column, -1 if its largest-magnitude entry (the first on ties) is
+    negative, else 1."""
+    peaks = mat[np.argmax(np.abs(mat), axis=0), np.arange(mat.shape[1])]
+    return np.where(peaks < 0, -1.0, 1.0)
 
 
 def compute_suitable_bases(
@@ -146,21 +154,13 @@ def compute_suitable_bases(
     sigma = np.clip(sigma, 0.0, 1.0)
 
     # Deterministic sign convention: make the largest-magnitude entry of each
-    # right singular vector positive (flipping the paired left vector too).
+    # right singular vector positive (flipping the paired left vector too),
+    # and of each unpaired left vector (m > n).
     n_pairs = min(m, n)
-    for j in range(n_pairs):
-        k = int(np.argmax(np.abs(z_rot[:, j])))
-        if z_rot[k, j] < 0:
-            z_rot[:, j] = -z_rot[:, j]
-            x_rot[:, j] = -x_rot[:, j]
-    for j in range(n_pairs, m):  # unpaired left vectors (m > n)
-        k = int(np.argmax(np.abs(x_rot[:, j])))
-        if x_rot[k, j] < 0:
-            x_rot[:, j] = -x_rot[:, j]
-    for j in range(n_pairs, n):  # unpaired right vectors (n > m)
-        k = int(np.argmax(np.abs(z_rot[:, j])))
-        if z_rot[k, j] < 0:
-            z_rot[:, j] = -z_rot[:, j]
+    z_signs = _column_signs(z_rot)
+    z_rot *= z_signs
+    x_rot[:, :n_pairs] *= z_signs[:n_pairs]
+    x_rot[:, n_pairs:] *= _column_signs(x_rot[:, n_pairs:])
 
     p, q = principal_counts(sigma, tol_one, tol_zero)
     if m + n - p > n_amb:

@@ -43,9 +43,11 @@ def estimate_manifold(
     prior: PriorManifold | DegenerateEllipsoid,
     bases: SuitableBases | None = None,
 ) -> SnapshotSet:
-    """Point estimates of every manifold sample (the estimate manifold)."""
+    """Point estimates of every manifold sample (the estimate manifold): the
+    posterior sampler's per-point path from observation to slice center, so
+    row i is bitwise ``point_estimate(observe(h_i, w_subspace), prior, bases)``."""
     factor = _single_factor(prior)
     if bases is None:
         bases = compute_suitable_bases(factor.subspace, w_subspace)
-    obs_matrix = observe_cloud(manifold_samples, w_subspace)      # (count, m)
-    return SnapshotSet(bases.slice_centers(obs_matrix @ bases.w_rotation))
+    a_star = bases.w_star_coefficients(observe_cloud(manifold_samples, w_subspace))
+    return SnapshotSet(bases.slice_centers(a_star[:, None, :])[:, 0])

@@ -12,18 +12,18 @@ directions ``v*_{q+1..n}``, and a component z in W⊥ ∩ V⊥, constrained by
 
     sum b_j^2 + ||z||^2  <=  budget = eps'^2 - sum_{j>q} <w*_j, h>^2.
 
-``sample_slice`` draws from one slice.  Each slice takes two blocks of random
-numbers per call from its stream, one Gaussian and one uniform; the split
-parameter pi comes from the squared norms of the Gaussian parts, and everything
-else is array arithmetic over all draws.  A prior of one or more ellipsoids is
+``sample_slice`` draws from one slice.  Each draw takes one standard Gaussian
+N-vector, whose wt coordinates and W⊥ ∩ V⊥ part give b and z (so no basis
+choice inside a cluster of equal sigma matters, and pi comes from their squared
+norms), and one row of uniforms.  A prior of one or more ellipsoids is
 sampled by rejection: draws come from a reference factor's slice, and those
 outside any other factor are dropped (a single tube has no other factor, so
 every draw is kept).  One rejection loop does all sampling:
 ``sample_posterior`` runs it over a cloud of manifold points, and
 ``sample_slice`` and ``sample_slice_multi`` are its one-point calls.  Point i
-draws from the derived stream (seed, i) alone, and every product is taken per
-point (stacked ``np.matmul``), so its draws are bitwise those of a one-point
-call.
+draws from the derived stream (seed, i) alone, and every product, observation
+to deviation, is taken per point (stacked ``np.matmul``), so its draws are
+bitwise those of a one-point call; point estimates take the same path.
 """
 
 from __future__ import annotations
@@ -87,10 +87,11 @@ def observe(h, w_subspace: Subspace) -> Observation:
 
 
 def observe_cloud(cloud: SnapshotSet, w_subspace: Subspace) -> np.ndarray:
-    """Observation values for every snapshot, one row per snapshot."""
+    """Observation values for every snapshot, one row per snapshot, each its
+    own product: row i is bitwise ``observe(cloud[i], w_subspace).values``."""
     if cloud.ambient_dim != w_subspace.ambient_dim:
         raise ContractViolation("cloud and W live in different ambient dimensions")
-    return cloud.vectors @ w_subspace.basis
+    return np.matmul(w_subspace.basis.T, cloud.vectors[:, :, None])[:, :, 0]
 
 
 @dataclass(frozen=True)
@@ -220,35 +221,31 @@ def _rows_with_norms(x: np.ndarray, sq_norms: np.ndarray, targets_sq: np.ndarray
 def _times(x: np.ndarray, mat: np.ndarray, stacks: int) -> np.ndarray:
     """``x @ mat`` for rows ``x`` that form ``stacks`` equal stacks, one
     product per stack.  A stack's rows round as they would alone; one GEMM
-    over rows of several stacks may round them differently."""
-    return (x.reshape(stacks, -1, x.shape[1]) @ mat).reshape(x.shape[0], -1)
-
-
-def _per_point(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``mat @ row`` for every row, one matrix-vector product per row, each
-    rounding as ``mat @ row`` alone does (a GEMM over all rows does not)."""
-    return np.matmul(mat, rows[:, :, None])[:, :, 0]
+    over rows of several stacks may round them differently (``x`` may have no
+    columns, so the row count is explicit)."""
+    rows = x.shape[0]
+    return (x.reshape(stacks, rows // stacks, x.shape[1]) @ mat).reshape(rows, -1)
 
 
 class _SliceDraws:
     """The random blocks of ``count`` slice draws, one row per draw.
 
-    Each row holds one Gaussian block [interaction (q - p) | N-vector (if
-    r > 0)] and one uniform block [mixture coin | budget fraction | tail
-    (n - q)].  :meth:`fill` draws a range of rows from one slice's stream, one
-    generator call per block; :meth:`add_to` turns every row into a deviation
-    from its slice center in one pass over all rows.  pi comes from the
-    squared norms of the row's two Gaussian parts (the N-vector's after its
-    projection onto W⊥ ∩ V⊥): a standard Gaussian's norm is independent of
-    its direction, so these are the independent chi-square sums pi needs.
+    Each row holds one standard Gaussian N-vector g and one uniform block
+    [mixture coin | budget fraction | tail (n - q)].  :meth:`fill` draws a
+    range of rows from one slice's stream, one generator call per block;
+    :meth:`add_to` turns every row into a deviation from its slice center in
+    one pass over all rows.  g's wt coordinates give b and its projection onto
+    W⊥ ∩ V⊥ gives z, both read off g in the ambient space, so a rotation of
+    the bases inside a cluster of equal sigma moves no draw.  The two parts
+    are independent, and a standard Gaussian's norm is independent of its
+    direction: their squared norms are the chi-square sums pi needs.
     """
 
     def __init__(self, bases: SuitableBases, count: int, pi_dist: PiDistribution | None, d_box: float):
         self.bases = bases
         self.pi_dist = pi_dist or PiDistribution.uniform_beta()
         self.d_box = d_box
-        self.n_int = bases.q - bases.p      # interaction block dimension
-        self.gauss = np.empty((count, self.n_int + (bases.ambient_dim if bases.r else 0)))
+        self.gauss = np.empty((count, bases.ambient_dim))
         self.unif = np.empty((count, 2 + bases.n - bases.q))
 
     def fill(self, rows: slice, gen: np.random.Generator) -> None:
@@ -262,22 +259,23 @@ class _SliceDraws:
         place, with ``budgets`` the rows' squared deviation budgets; the blocks
         are overwritten on the way.  The rows are ``stacks`` equal stacks, one
         per point, and every product is taken per stack (see :func:`_times`)."""
-        b = self.bases
-        dirs, g = self.gauss[:, : self.n_int], self.gauss[:, self.n_int :]
+        b, g = self.bases, self.gauss
+        comp = b.complement_onb
+        coeffs = _times(g, comp, stacks)        # g on [w* | wt | v*_{q+1..n}]
         if b.r:
-            comp = b.complement_onb
-            g -= _times(_times(g, comp, stacks), comp.T, stacks)
+            g -= _times(coeffs, comp.T, stacks)
+        else:
+            g.fill(0.0)                         # W⊥ ∩ V⊥ = {0}: no z, not rounding noise
+        dirs = coeffs[:, b.m : b.m + b.q - b.p]
         head, tail = np.sum(dirs * dirs, axis=1), np.sum(g * g, axis=1)
         pi = self.pi_dist.from_norms(head, tail, self.unif[:, 0])
         gamma = self.unif[:, 1] * budgets
-        if self.n_int:
-            coeffs = _rows_with_norms(dirs, head, gamma * pi**2)
-            # along sigma_j^{-1} wt_j
-            out -= _times(coeffs / b.sigma[b.p : b.q], b.w_tilde.T, stacks)
-        if b.r:
-            out += _rows_with_norms(g, tail, gamma * (1.0 - pi**2))
-        if b.n > b.q:
-            out += _times(self.d_box * (2.0 * self.unif[:, 2:] - 1.0), b.v_star_tail.T, stacks)
+        # -b_j / sigma_j along wt_j, d_j along v*_j (j > q)
+        _rows_with_norms(dirs, head, gamma * pi**2)
+        dirs /= -b.sigma[b.p : b.q]
+        coeffs[:, b.m + b.q - b.p :] = self.d_box * (2.0 * self.unif[:, 2:] - 1.0)
+        out += _times(coeffs[:, b.m :], comp[:, b.m :].T, stacks)
+        out += _rows_with_norms(g, tail, gamma * (1.0 - pi**2))
         return out
 
 
@@ -290,16 +288,15 @@ def sample_slice(
 ) -> SnapshotSet:
     """Draw ``n_samples`` points of the slice.
 
-    The stream gives one Gaussian block (a (q - p)-row for the interaction
-    coefficients b, then an N-row if r > 0) and one uniform block (mixture
-    coin, budget fraction, n - q tail coordinates) for all samples.  A budget
-    fraction gamma ~ U[0, budget] is split by pi (see
-    :meth:`PiDistribution.from_norms`, fed the two rows' squared norms):
-    gamma * pi^2 of squared norm goes on b (the normalized Gaussian row, a
-    uniform direction), gamma * (1 - pi^2) on z ∈ W⊥ ∩ V⊥ (the N-row projected
-    off the complement blocks, then normalized), and d_j ~ U[-d_box, d_box] on
-    the unobserved prior directions.  Every output reproduces the observation
-    exactly and stays within the prior width.  This is the one-point call of
+    The stream gives one Gaussian block (a standard Gaussian N-vector g per
+    sample) and one uniform block (mixture coin, budget fraction, n - q tail
+    coordinates) for all samples.  A budget fraction gamma ~ U[0, budget] is
+    split by pi (see :meth:`PiDistribution.from_norms`, fed the squared norms
+    of g's two parts below): gamma * pi^2 of squared norm goes on b (g's wt
+    coordinates, normalized: a uniform direction), gamma * (1 - pi^2) on
+    z ∈ W⊥ ∩ V⊥ (g projected off the complement blocks, then normalized), and
+    d_j ~ U[-d_box, d_box] on the unobserved prior directions.  Every output
+    reproduces the observation exactly and stays within the prior width.  This is the one-point call of
     the rejection loop of :func:`sample_posterior` on the slice's own tube,
     which keeps every draw.
     """
@@ -504,12 +501,10 @@ def sample_posterior(
     if j_star is None:
         j_star = prior.n_factors
     bases = compute_suitable_bases(prior.factor(j_star).subspace, w_subspace)
-    if manifold_samples.ambient_dim != w_subspace.ambient_dim:
-        raise ContractViolation("cloud and W live in different ambient dimensions")
-    obs = _per_point(w_subspace.basis.T, manifold_samples.vectors)
+    a_star = bases.w_star_coefficients(observe_cloud(manifold_samples, w_subspace))
     rngs = [derived_rng(seed, i) for i in range(len(manifold_samples))]
     samples, _, _ = _rejection_sample(
-        _per_point(bases.w_rotation.T, obs), prior, j_star, per_point, max_draws_per_point,
+        a_star, prior, j_star, per_point, max_draws_per_point,
         pi_dist, d_box, rngs, bases, name_points=True,
     )
     return SnapshotSet(samples)

@@ -26,17 +26,20 @@ def random_subspace_pair(
 
 
 def prescribed_pair(
-    rng: np.random.Generator, m: int, n: int, p: int, q: int, r: int
+    rng: np.random.Generator, m: int, n: int, p: int, q: int, r: int, cosines=None
 ) -> tuple[Subspace, Subspace]:
     """A (W, V) pair with p principal cosines equal to 1, q - p strictly
-    between 0 and 1, the rest 0, and an r-dim W⊥ ∩ V⊥ (ambient m + n - p + r).
+    between 0 and 1 (``cosines`` if given, else uniform draws), the rest 0,
+    and an r-dim W⊥ ∩ V⊥ (ambient m + n - p + r).
 
     Column j of V is cos_j w_j (j < min(m, n)) plus, for j >= p, sin_j times
     its own direction outside W, so V's columns are its rotated basis v*.
     """
     ambient = m + n - p + r
     e = np.linalg.qr(rng.standard_normal((ambient, ambient)))[0]
-    cosines = np.concatenate([np.ones(p), rng.uniform(0.05, 0.95, q - p), np.zeros(n - q)])
+    if cosines is None:
+        cosines = rng.uniform(0.05, 0.95, q - p)
+    cosines = np.concatenate([np.ones(p), cosines, np.zeros(n - q)])
     k = min(m, n)
     v = np.zeros((ambient, n))
     v[:, :k] = e[:, :k] * cosines[:k]

@@ -187,11 +187,23 @@ class TestErrorsAndEdges:
     def test_w_star_coefficients_validates_shape(self, rng):
         w, v = random_subspace_pair(rng, 10, 3, 3)
         sb = compute_suitable_bases(v, w)
-        with pytest.raises(ContractViolation):
-            sb.w_star_coefficients(np.zeros(4))
+        for shape in [(4,), (2, 4), (2, 1, 3), ()]:
+            with pytest.raises(ContractViolation):
+                sb.w_star_coefficients(np.zeros(shape))
         h = rng.standard_normal(10)
         obs = w.basis.T @ h
         assert_allclose(sb.w_star_coefficients(obs), sb.w_star.T @ h, atol=1e-10)
+
+    def test_w_star_coefficients_of_rows_are_per_row(self, rng):
+        # Rows of observations give, row for row, bitwise the coefficients of
+        # each observation alone.
+        w, v = random_subspace_pair(rng, 10, 3, 3)
+        sb = compute_suitable_bases(v, w)
+        rows = rng.standard_normal((7, 3))
+        coeffs = sb.w_star_coefficients(rows)
+        assert coeffs.shape == (7, 3)
+        for row, c in zip(rows, coeffs):
+            assert np.array_equal(c, sb.w_star_coefficients(row))
 
 
 class TestDecompose:

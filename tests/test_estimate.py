@@ -15,7 +15,7 @@ from partialrom.geometry import (
     Subspace,
 )
 from partialrom.greedy import StoppingRule, greedy
-from partialrom.sampling import Observation, build_slice, observe
+from partialrom.sampling import Observation, build_slice, observe, sample_posterior
 
 
 class TestPointEstimate:
@@ -100,7 +100,17 @@ class TestEstimateManifold:
         batch = estimate_manifold(cloud, w, prior, bases=sb)
         for i, h in enumerate(cloud):
             single = point_estimate(observe(h, w), prior, sb)
-            assert_allclose(batch.vectors[i], single, atol=1e-10)
+            assert np.array_equal(batch.vectors[i], single)
+
+    def test_rows_are_the_sampler_slice_centers(self, rng):
+        # With a zero budget (q = m, zero width) and d_box = 0 every posterior
+        # draw is its slice center, reached on the sampler's own path.
+        w, v = random_subspace_pair(rng, 12, 4, 5)
+        prior = DegenerateEllipsoid(v, 0.0)
+        cloud = SnapshotSet((v.basis @ rng.standard_normal((5, 9))).T)
+        post = sample_posterior(cloud, w, prior, per_point=2, d_box=0.0, seed=4)
+        est = estimate_manifold(cloud, w, prior)
+        assert np.array_equal(post.vectors, np.repeat(est.vectors, 2, axis=0))
 
     def test_bases_computed_when_omitted(self, rng):
         w, v = random_subspace_pair(rng, 12, 5, 4)

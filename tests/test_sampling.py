@@ -1,5 +1,6 @@
 """Tests for posterior-slice construction and sampling."""
 
+import dataclasses
 import json
 import warnings
 
@@ -32,6 +33,7 @@ from partialrom.sampling import (
     sample_slice_multi,
     union_set_contains,
 )
+from partialrom.worlds import build_synthetic_world
 
 
 class TestObserve:
@@ -47,7 +49,7 @@ class TestObserve:
         mat = observe_cloud(cloud, w)
         assert mat.shape == (5, 3)
         for i, h in enumerate(cloud):
-            assert_allclose(mat[i], observe(h, w).values, rtol=1e-12)
+            assert np.array_equal(mat[i], observe(h, w).values)
 
     def test_ambient_mismatch(self, rng):
         with pytest.raises(ContractViolation):
@@ -266,8 +268,8 @@ class TestSampleSlice:
         ids=["tail", "r=0", "m < n", "p=q"],
     )
     def test_stream_layout(self, dims):
-        # A slice of k samples takes one Gaussian block [interaction q - p |
-        # N-vector, if r > 0] and one uniform block [mixture coin | budget
+        # A slice of k samples takes one Gaussian block (one N-vector per
+        # sample, r = 0 included) and one uniform block [mixture coin | budget
         # fraction | tail n - q] from its stream, in that order.  A change to
         # this layout changes every posterior draw.
         rng = derived_rng(77)
@@ -277,10 +279,59 @@ class TestSampleSlice:
         sl = build_slice(obs, DegenerateEllipsoid(v, 0.5), sb)
         gen, twin = derived_rng(3, 1), derived_rng(3, 1)
         sample_slice(sl, 7, PiDistribution.mixture(), rng=gen)
-        twin.standard_normal((7, sb.q - sb.p + (sb.ambient_dim if sb.r else 0)))
+        twin.standard_normal((7, sb.ambient_dim))
         twin.random((7, 2 + sb.n - sb.q))
         state = lambda g: json.dumps(g.bit_generator.state, default=np.ndarray.tolist)
         assert state(gen) == state(twin)
+
+
+def _rotate_cluster(sb, cluster, rot):
+    """``sb`` with the columns ``cluster`` (a cluster of equal sigma inside the
+    interaction block p..q) of w*, v*, X, Z and the matching wt columns turned
+    by the orthogonal ``rot``: another valid choice of suitable bases."""
+    def turned(mat, cols):
+        mat = mat.copy()
+        mat[:, cols] = mat[:, cols] @ rot
+        return mat
+    wt = slice(cluster.start - sb.p, cluster.stop - sb.p)
+    return dataclasses.replace(
+        sb, w_star=turned(sb.w_star, cluster), v_star=turned(sb.v_star, cluster),
+        w_rotation=turned(sb.w_rotation, cluster), v_rotation=turned(sb.v_rotation, cluster),
+        w_tilde=turned(sb.w_tilde, wt),
+    )
+
+
+def _synthetic_case():
+    world = build_synthetic_world(n_points=4, seed=3)
+    w, prior = world.observation_subspace(25), world.prior_manifold(25).factor(1)
+    return w, prior, world.cloud.vectors[0], slice(20, 25)
+
+
+def _repeated_sigma_case():
+    # r = 0, one tail direction, and sigma = 0.3 three times.
+    w, v = prescribed_pair(derived_rng(2718), 4, 5, 1, 4, 0, cosines=np.full(3, 0.3))
+    return w, DegenerateEllipsoid(v, 0.8), v.basis @ derived_rng(2719).standard_normal(5), slice(1, 4)
+
+
+class TestBasisInvariance:
+    @pytest.mark.parametrize("case", [_synthetic_case, _repeated_sigma_case], ids=["synthetic", "r=0"])
+    def test_draws_do_not_depend_on_the_basis_inside_a_sigma_cluster(self, case):
+        # Inside a cluster of equal sigma the SVD's basis is arbitrary; the
+        # interaction coefficients are read off the ambient Gaussian, so a
+        # rotation there leaves every draw in place up to rounding.
+        w, prior, h, cluster = case()
+        sb = compute_suitable_bases(prior.subspace, w)
+        assert np.ptp(sb.sigma[cluster]) < 1e-14
+        rot = np.linalg.qr(derived_rng(11).standard_normal((cluster.stop - cluster.start,) * 2))[0]
+        turned = _rotate_cluster(sb, cluster, rot)
+        assert np.abs(turned.w_tilde - sb.w_tilde).max() > 0.1
+        obs = observe(h, w)
+        draws = [
+            sample_slice(build_slice(obs, prior, b), 50, PiDistribution.mixture(), rng=derived_rng(5, 9))
+            .vectors for b in (sb, turned)
+        ]
+        moved = np.linalg.norm(draws[1] - draws[0], axis=1) / np.linalg.norm(draws[0], axis=1)
+        assert moved.max() <= 1e-10
 
 
 class TestMaxDeviation:
