@@ -44,6 +44,14 @@ def test_infinite_or_zero_first_values(tmp_path):
     assert report[("z", "M")][:2] == (2, 1) and math.isnan(report[("z", "M")][2])
 
 
+def test_infinite_first_value_scales_by_first_finite_value():
+    before = {("b", "0", i, "bound"): v for i, v in enumerate(["inf", "inf", "4.0", "2.0"])}
+    after = dict(before) | {("b", "0", 3, "bound"): "2.5"}
+    assert curve_moves.curve_moves(before, after)[("b", "bound")] == (4, 1, 0.125)
+    before[("b", "0", 2, "bound")] = after[("b", "0", 2, "bound")] = "0.0"
+    assert math.isnan(curve_moves.curve_moves(before, after)[("b", "bound")][2])
+
+
 def test_different_rows_exit_1(tmp_path):
     before = _write(tmp_path / "a.csv", ["post,0,0,M,2.0"])
     after = _write(tmp_path / "b.csv", ["post,0,0,M,2.0", "post,0,1,M,1.0"])

@@ -11,6 +11,7 @@ from partialrom.geometry import (
     PriorManifold,
     SnapshotSet,
     Subspace,
+    _mgs,
     as_vector,
     direct_sum,
     dist,
@@ -102,6 +103,31 @@ class TestOrthonormalize:
         assert_allclose(s.basis.T @ s.basis, np.eye(s.dim), atol=1e-12)
         for row in vecs:
             assert s.contains(row, tol=1e-9)
+
+    def test_empty_array_gives_zero_subspace_of_its_width(self):
+        s = orthonormalize(np.empty((0, 4)))
+        assert (s.ambient_dim, s.dim) == (4, 0)
+
+
+class TestGramSchmidtKernel:
+    @pytest.mark.parametrize("shape", [(200, 100), (600, 10), (40, 40)])
+    def test_matches_sign_fixed_qr(self, rng, shape):
+        g = rng.standard_normal(shape)
+        q, r = np.linalg.qr(g)
+        assert_allclose(_mgs(g), q * np.sign(np.diag(r)), rtol=0, atol=1e-14)
+
+    def test_base_columns_come_back_bitwise(self, rng):
+        a = Subspace(random_orthonormal(rng, 30, 12))
+        inside = Subspace(np.linalg.qr(a.basis @ rng.standard_normal((12, 5)))[0])
+        assert np.array_equal(direct_sum(a, inside).basis, a.basis)
+        s = direct_sum(a, Subspace(random_orthonormal(rng, 30, 4)))
+        assert s.dim == 16 and np.array_equal(s.basis[:, :12], a.basis)
+
+    def test_drops_dependent_columns_and_keeps_input_order(self):
+        e = np.eye(6)
+        cols = np.column_stack([e[0] + e[1], e[3], e[3], e[2] - e[0], e[4]])
+        q = _mgs(cols, base=e[:, :2])
+        assert_allclose(q, e[:, [0, 1, 3, 2, 4]], atol=1e-15)
 
 
 class TestProjectDist:

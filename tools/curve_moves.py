@@ -5,10 +5,11 @@
 Rows are matched by (method, rep, i, target); a row moved when its value text
 differs.  For every (method, target) the script prints the rows compared, the
 rows moved, and the worst |after - before| over those rows relative to the
-i = 0 value of the row's own curve (method, rep, target) in BEFORE.  A curve
-whose i = 0 value is zero or infinite makes its (method, target) ``nan``; an
-infinite value on one side only gives ``inf``.  Exits 1 if the two files do not hold the same
-rows.
+i = 0 value of the row's own curve (method, rep, target) in BEFORE.  Where
+that value is infinite (``bound_dbar`` below k*), the curve's first finite
+value is the scale instead.  A scale of zero, or a curve with no finite value,
+makes its (method, target) ``nan``; an infinite value on one side only gives
+``inf``.  Exits 1 if the two files do not hold the same rows.
 """
 
 from __future__ import annotations
@@ -31,12 +32,16 @@ def curve_moves(before: dict, after: dict) -> dict[tuple[str, str], tuple[int, i
     """(rows, moved rows, worst relative move) per (method, target)."""
     if before.keys() != after.keys():
         raise ValueError(f"the files differ in {len(before.keys() ^ after.keys())} rows")
+    scales: dict[tuple[str, str, str], float] = {}  # keys sort by i within a curve
+    for method, rep, i, target in sorted(before):
+        if math.isinf(scales.get((method, rep, target), math.inf)):
+            scales[(method, rep, target)] = abs(float(before[(method, rep, i, target)]))
     report: dict[tuple[str, str], tuple[int, int, float]] = {}
     for key in sorted(before):
         method, rep, i, target = key
         rows, moved, worst = report.get((method, target), (0, 0, 0.0))
         if before[key] != after[key]:
-            scale = abs(float(before[(method, rep, 0, target)]))
+            scale = scales[(method, rep, target)]
             move = abs(float(after[key]) - float(before[key]))
             if not math.isinf(move):
                 move = move / scale if 0.0 < scale < math.inf else math.nan
