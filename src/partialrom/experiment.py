@@ -117,6 +117,7 @@ class RunConfig:
             if self.m > (ambient := self.cells * (self.cells + 1)):
                 raise ConfigError(f"m = {self.m} exceeds the ambient dimension {ambient}")
         else:
+            ambient = self.ambient
             if 2 * self.n_max > self.ambient:
                 raise ConfigError(
                     f"need 2 n_max <= ambient, got {2 * self.n_max} > {self.ambient}"
@@ -131,6 +132,8 @@ class RunConfig:
                 raise ConfigError(f"m and n must not exceed n_max = {self.n_max}")
             if (self.k_intrinsic or self.k_hat) > self.n:
                 raise ConfigError(f"k_intrinsic or k_hat exceeds n = {self.n}: T would not lie in V")
+        if self.i_max > ambient:
+            raise ConfigError(f"i_max = {self.i_max} exceeds the ambient dimension {ambient}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -471,6 +474,9 @@ def _build_manifest(
         "eps_prime": format_extended(bundle.prior_single.ellipsoids[0].width),
         # Stability factor sigma_q of (V, W); 1 / beta is mu(V, W) of Binev et al.
         "beta": format_extended(b.sigma[b.q - 1] if b.q else 0.0),
+        # Greedy stops at the relaxed cloud's numerical rank, so a thermal
+        # prior may have fewer dimensions than the configured n.
+        "n_prior": b.n,
         "repetitions": rep_infos,
         "summary": summary,
     }

@@ -42,24 +42,33 @@ def _as_finite(x, ndim: int, length: int | None) -> np.ndarray:
     return arr
 
 
+def gram_schmidt_residual(q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``v`` projected twice off the orthonormal columns of ``q``, ``r -= q (q^T r)``.
+
+    The second pass removes the cancellation error of the first, which makes
+    classical Gram-Schmidt as accurate as the modified loop.
+    """
+    r = v.copy()
+    for _ in range(2):
+        r -= q @ (q.T @ r)
+    return r
+
+
 def _mgs(columns: np.ndarray, base: np.ndarray | None = None) -> np.ndarray:
     """Two-pass block Gram-Schmidt: ``[base | accepted columns]``.
 
     ``base`` (N, k0), orthonormal and possibly without columns, is copied
     through bitwise.  Each column of ``columns`` (N, d) is taken in input order
-    and projected twice off every column accepted so far, ``r -= Q (Q^T r)``;
-    the second pass removes the cancellation error of the first, which makes
-    classical Gram-Schmidt as accurate as the modified loop.  A column whose
-    residual falls below ``DROP_TOL * (1 + ||v||)`` is dropped as dependent.
+    and projected off every column accepted so far by
+    :func:`gram_schmidt_residual`.  A column whose residual falls below
+    ``DROP_TOL * (1 + ||v||)`` is dropped as dependent.
     """
     k = 0 if base is None else base.shape[1]
     q = np.empty((columns.shape[0], k + columns.shape[1]))
     if k:
         q[:, :k] = base
     for v in columns.T:
-        r = v.copy()
-        for _ in range(2):
-            r -= q[:, :k] @ (q[:, :k].T @ r)
+        r = gram_schmidt_residual(q[:, :k], v)
         nrm = np.linalg.norm(r)
         if nrm >= DROP_TOL * (1.0 + np.linalg.norm(v)):
             q[:, k] = r / nrm

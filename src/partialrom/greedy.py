@@ -1,11 +1,17 @@
 """Greedy construction of nested reduced spaces from a snapshot cloud.
 
 At every iteration the snapshot farthest from the current space is selected
-(ties broken toward the lowest index), its normalized residual is appended to
-the basis, and the worst-case projection error is recorded.  Residual norms
-are updated incrementally — adding an orthonormal direction u decreases each
-squared distance by <u, h_j>^2 — which also makes the recorded error curve
-nonincreasing by construction.
+(ties broken toward the lowest index), and its residual after the two-pass
+Gram-Schmidt step of :func:`~partialrom.geometry.gram_schmidt_residual`,
+normalized, is appended to the basis.  Squared distances are downdated
+incrementally: adding an orthonormal direction u decreases each by
+<u, h_j>^2.  A downdate cancels, so once a row's value falls below
+``sqrt(eps_machine)`` times its last exact value it is recomputed exactly from
+the stored coordinates (the column-norm rule of LAPACK's pivoted QR, xGEQP3).
+Selection, exhaustion and the ``tol`` stop therefore see widths far below
+``sqrt(eps_machine) * ||h||``.  The recorded error curve is one exact
+:func:`~partialrom.geometry.prefix_widths` pass over the final basis; it is
+nonincreasing because each row's prefix residuals are.
 """
 
 from __future__ import annotations
@@ -15,10 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .geometry import SnapshotSet, Subspace, prefix_widths
+from .geometry import SnapshotSet, Subspace, gram_schmidt_residual, prefix_widths
 
 #: Residual norms below this are treated as "span exhausted".
 EXHAUSTION_TOL = 1e-12
+#: A downdated squared distance below this fraction of its last exact value has
+#: lost half its digits and is recomputed exactly (LAPACK xGEQP3's rule).
+DOWNDATE_TOL = np.sqrt(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -70,44 +79,35 @@ def greedy(snapshots: SnapshotSet, stop: StoppingRule) -> GreedyResult:
     max_dim = stop.max_dim if stop.max_dim is not None else min(n_snap, n_amb)
     max_dim = min(max_dim, n_snap, n_amb)
 
-    sq_dist = np.einsum("ij,ij->i", vectors, vectors).copy()
-    basis_cols: list[np.ndarray] = []
+    sq_dist = np.einsum("ij,ij->i", vectors, vectors)
+    exact_sq = sq_dist.copy()  # each row's squared distance when last computed exactly
+    basis = np.empty((n_amb, max_dim))
+    coords = np.empty((n_snap, max_dim))  # coords[:, t] = vectors @ basis[:, t]
     indices: list[int] = []
-    errors: list[float] = []
 
-    while len(basis_cols) < max_dim:
+    while (k := len(indices)) < max_dim:
         worst = int(np.argmax(sq_dist))  # argmax takes the first maximum: lowest index wins ties
-        worst_err = float(np.sqrt(max(sq_dist[worst], 0.0)))
-        if worst_err < EXHAUSTION_TOL:
+        if np.sqrt(sq_dist[worst]) < EXHAUSTION_TOL:
             break
-        # Recompute the winner's residual exactly (incremental distances drift).
-        resid = vectors[worst].copy()
-        for _ in range(2):
-            for u in basis_cols:
-                resid -= u * (u @ resid)
+        resid = gram_schmidt_residual(basis[:, :k], vectors[worst])
         nrm = np.linalg.norm(resid)
         if nrm < EXHAUSTION_TOL:
             sq_dist[worst] = 0.0
             continue
-        u_new = resid / nrm
-        basis_cols.append(u_new)
+        basis[:, k] = resid / nrm
+        coords[:, k] = vectors @ basis[:, k]
         indices.append(worst)
-        proj = vectors @ u_new
-        sq_dist = np.maximum(sq_dist - proj**2, 0.0)
-        errors.append(float(np.sqrt(sq_dist.max())))
-        if stop.tol is not None and errors[-1] <= stop.tol:
+        sq_dist = np.maximum(sq_dist - coords[:, k] ** 2, 0.0)
+        stale = np.flatnonzero(sq_dist < DOWNDATE_TOL * exact_sq)
+        resid = vectors[stale] - coords[stale, : k + 1] @ basis[:, : k + 1].T
+        sq_dist[stale] = exact_sq[stale] = np.einsum("ij,ij->i", resid, resid)
+        if stop.tol is not None and np.sqrt(sq_dist.max()) <= stop.tol:
             break
 
-    basis = np.column_stack(basis_cols) if basis_cols else np.zeros((n_amb, 0))
+    basis = np.ascontiguousarray(basis[:, : len(indices)])
     basis.setflags(write=False)
-    if basis_cols:
-        # The incremental distances steer selection but bottom out at the
-        # cancellation level sqrt(eps_machine) * ||h||; re-derive the recorded
-        # curve from exact terminal residuals so tiny widths are trustworthy.
-        errors = [float(x) for x in prefix_widths(vectors, basis)]
-
     return GreedyResult(
         basis=basis,
         selected_indices=tuple(indices),
-        error_curve=tuple(errors),
+        error_curve=tuple(float(x) for x in prefix_widths(vectors, basis)),
     )

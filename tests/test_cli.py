@@ -215,6 +215,24 @@ class TestRunCommands:
         assert "m = 10 exceeds the ambient dimension" in capsys.readouterr().err
         assert not (out / "curves.csv").exists()
 
+    @pytest.mark.parametrize("setup, ambient", [(1, 6), (2, 24)])
+    def test_i_max_above_ambient_exits_config(self, tmp_path, capsys, setup, ambient):
+        # Every curve is padded to i_max + 1 values, so i_max is bounded by
+        # the ambient dimension (cells (cells + 1) for setup 1).
+        def args(out, i_max):
+            if setup == 2:
+                return tiny_setup2_args(out) + ["--i-max", str(i_max)]
+            return [
+                "setup1", "--out", str(out), "--cells", "2", "--t-steps", "2",
+                "--relax-max", "16", "--m", "4", "--n", "4", "--reps", "1",
+                "--per-point", "2", "--i-max", str(i_max), "--seed", "3",
+            ]
+
+        assert main(args(tmp_path / "ok", ambient)) == 0
+        assert main(args(tmp_path / "bad", ambient + 1)) == 2
+        assert f"i_max = {ambient + 1} exceeds the ambient dimension {ambient}" in capsys.readouterr().err
+        assert not (tmp_path / "bad" / "curves.csv").exists()
+
     def test_manifest_setup_mismatch(self, tmp_path, capsys):
         run2 = tmp_path / "run2"
         assert main(tiny_setup2_args(run2)) == 0

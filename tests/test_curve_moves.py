@@ -1,6 +1,7 @@
 """Tests for the curve-move report script ``tools/curve_moves.py``."""
 
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -58,3 +59,18 @@ def test_different_rows_exit_1(tmp_path):
     assert curve_moves.main([before, after]) == 1
     with pytest.raises(ValueError):
         curve_moves.curve_moves(curve_moves.read_curves(before), curve_moves.read_curves(after))
+
+
+def test_run_directories_add_manifest_scalars(tmp_path, capsys):
+    for name, beta, extra in (("a", "0.5", {}), ("b", "0.25", {"n_prior": 3})):
+        run = tmp_path / name
+        run.mkdir()
+        _write(run / "curves.csv", ["post,0,0,M,2.0"])
+        manifest = {"eps_prime": "1e-09", "eps_intrinsic": "0.1", "beta": beta, **extra}
+        (run / "manifest.json").write_text(json.dumps(manifest))
+    assert curve_moves.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "method,target,rows,moved,worst_rel_move", "post,M,1,0,0.00e+00",
+        "scalar,before,after", "eps_prime,1e-09,1e-09", "eps_intrinsic,0.1,0.1",
+        "beta,0.5,0.25", "n_prior,-,3",
+    ]

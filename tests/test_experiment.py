@@ -241,6 +241,9 @@ class TestSyntheticRun:
         assert man["repetitions"][0]["n_posterior_single"] == 8 * 2
         assert RunConfig.from_dict(man["config"]) == result.config
 
+    def test_manifest_records_prior_dimension(self, result):
+        assert result.manifest["n_prior"] == result.config.n == 6
+
     def test_manifest_records_stability_factor(self, result):
         # beta = sigma_q of (V, W) for the single-tube prior.  The synthetic
         # world's weakest observed prior directions have cosine delta = 1e-2.
@@ -322,6 +325,13 @@ class TestThermalRun:
         assert csv_path.read_text().startswith(CSV_HEADER)
         reloaded = json.loads(manifest_path.read_text())
         assert reloaded["config"]["cells"] == 4
+
+    def test_manifest_records_prior_dimension_used(self):
+        # The relaxed cloud of this grid has rank 10, so greedy and the prior
+        # stop there although n = 12 is asked for.
+        res = run_experiment(tiny_thermal(n=12))
+        assert res.manifest["config"]["n"] == 12
+        assert res.manifest["n_prior"] == 10
 
     def test_perf_at_m_is_greedy_benchmark(self):
         res = run_experiment(tiny_thermal())

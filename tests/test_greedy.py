@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from partialrom.errors import ContractViolation
 from partialrom.geometry import SnapshotSet, dist, orthonormalize
 from partialrom.greedy import GreedyResult, StoppingRule, greedy
 from partialrom.rng import derived_rng
+from partialrom.thermal import ThermalBlockModel
+from partialrom.worlds import build_thermal_world
 
 
 def toy_cloud():
@@ -172,3 +176,67 @@ class TestTinyWidthAccuracy:
             exact = max(dist(v, sub) for v in cloud.vectors)
             assert_allclose(res.error_curve[t - 1], exact, rtol=1e-6, atol=1e-14)
         assert res.error_curve[4] < 1e-10
+
+    def test_tol_stop_reads_exact_distances(self):
+        # Incremental distances of this cloud never fall below ~1e-6; the
+        # exactly recomputed ones reach the 1e-12 noise after five picks.
+        rng = derived_rng(21)
+        basis = np.linalg.qr(rng.standard_normal((30, 5)))[0]
+        coords = rng.standard_normal((40, 5)) * 20.0
+        noise = 1e-12 * rng.standard_normal((40, 30))
+        res = greedy(SnapshotSet(coords @ basis.T + noise), StoppingRule(tol=1e-10))
+        assert res.terminal_dim == 5
+        assert res.error_curve[-1] <= 1e-10
+
+    def test_widths_below_cancellation_level_are_selected(self):
+        # Rows 1e3 e_0 + s 1e-9 e_s: after e_0 every incremental distance
+        # cancels to 0, yet widths 5e-9 ... 1e-9 remain to be picked in order.
+        steps = [0, 5, 1, 4, 2, 3]
+        vecs = np.zeros((6, 6))
+        vecs[:, 0] = 1e3
+        vecs[np.arange(6), steps] += 1e-9 * np.array(steps)
+        res = greedy(SnapshotSet(vecs), StoppingRule())
+        assert res.selected_indices == (0, 1, 3, 5, 4, 2)
+        assert_allclose(res.error_curve, [5e-9, 4e-9, 3e-9, 2e-9, 1e-9, 0.0], rtol=1e-6, atol=1e-15)
+
+    def test_thermal_picks_survive_rounding_level_change(self):
+        # Past pick 16 the relaxed cloud's widths (5e-8, then 1e-14) lie below
+        # the incremental distances' floor sqrt(eps) * ||h||; exact distances
+        # make the picks independent of the states' last bits.
+        world = build_thermal_world(ThermalBlockModel(8), t_steps=6, relax_max=256, n_prior=30)
+        vecs = world.relax_cloud.vectors
+        a = greedy(world.relax_cloud, StoppingRule(max_dim=30))
+        b = greedy(SnapshotSet(vecs + 1e-15 * vecs), StoppingRule(max_dim=30))
+        assert a.terminal_dim == 18
+        assert a.selected_indices == b.selected_indices
+
+
+@st.composite
+def layered_clouds(draw):
+    """Clouds of a large low-rank part plus a small full-rank part."""
+    rows, cols = draw(st.integers(1, 25)), draw(st.integers(1, 12))
+    rank = draw(st.integers(1, min(rows, cols)))
+    big, small = draw(st.sampled_from([1e3, 1.0])), draw(st.sampled_from([1e-11, 0.0, 1e-6, 1.0]))
+    rng = derived_rng(draw(st.integers(0, 2**32 - 1)))
+    vecs = big * rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+    return vecs + small * rng.standard_normal((rows, cols))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(layered_clouds(), st.sampled_from([1e-7, None]))
+def test_curve_is_brute_force_prefix_widths_and_tol_stops_first(vecs, tol):
+    cloud = SnapshotSet(vecs)
+    res = greedy(cloud, StoppingRule(tol=tol))
+    curve = np.array(res.error_curve)
+    assert curve.shape == (res.terminal_dim,)
+    assert np.all(np.diff(curve) <= 0.0)
+    scale = np.linalg.norm(vecs, axis=1).max()
+    for t in range(1, res.terminal_dim + 1):
+        b = res.basis[:, :t]
+        resid = vecs - (vecs @ b) @ b.T
+        resid -= (resid @ b) @ b.T
+        exact = np.linalg.norm(resid, axis=1).max()
+        assert_allclose(curve[t - 1], exact, rtol=1e-6, atol=1e-13 * scale)
+    if tol is not None:
+        # Greedy stops at the first dimension whose width reaches tol.
+        assert np.all(curve[:-1] > tol - 1e-12 * scale)

@@ -1,6 +1,7 @@
 """Report how far the rows of one ``curves.csv`` moved against another's.
 
     python tools/curve_moves.py BEFORE.csv AFTER.csv
+    python tools/curve_moves.py BEFORE_RUN_DIR AFTER_RUN_DIR
 
 Rows are matched by (method, rep, i, target); a row moved when its value text
 differs.  For every (method, target) the script prints the rows compared, the
@@ -10,13 +11,21 @@ that value is infinite (``bound_dbar`` below k*), the curve's first finite
 value is the scale instead.  A scale of zero, or a curve with no finite value,
 makes its (method, target) ``nan``; an infinite value on one side only gives
 ``inf``.  Exits 1 if the two files do not hold the same rows.
+
+Given two run directories, the script compares their ``curves.csv`` and then
+prints the ``manifest.json`` scalars ``eps_prime``, ``eps_intrinsic``, ``beta``
+and ``n_prior`` before and after (``-`` where a manifest lacks one).
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 import sys
+from pathlib import Path
+
+MANIFEST_SCALARS = ("eps_prime", "eps_intrinsic", "beta", "n_prior")
 
 
 def read_curves(path: str) -> dict[tuple[str, str, int, str], str]:
@@ -51,18 +60,31 @@ def curve_moves(before: dict, after: dict) -> dict[tuple[str, str], tuple[int, i
     return report
 
 
+def manifest_scalars(run_dir: Path) -> dict[str, str]:
+    """The :data:`MANIFEST_SCALARS` of a run directory's manifest, as text."""
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    return {key: str(manifest.get(key, "-")) for key in MANIFEST_SCALARS}
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
+    runs = [Path(arg) for arg in argv]
+    dirs = all(run.is_dir() for run in runs)
     try:
-        report = curve_moves(read_curves(argv[0]), read_curves(argv[1]))
+        report = curve_moves(*(read_curves(run / "curves.csv" if dirs else run) for run in runs))
+        scalars = [manifest_scalars(run) for run in runs] if dirs else []
     except ValueError as exc:
         print(f"curve_moves: {exc}", file=sys.stderr)
         return 1
     print("method,target,rows,moved,worst_rel_move")
     for (method, target), (rows, moved, worst) in report.items():
         print(f"{method},{target},{rows},{moved},{worst:.2e}")
+    if scalars:
+        print("scalar,before,after")
+        for key in MANIFEST_SCALARS:
+            print(f"{key},{scalars[0][key]},{scalars[1][key]}")
     return 0
 
 
