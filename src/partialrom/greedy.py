@@ -1,17 +1,17 @@
 """Greedy construction of nested reduced spaces from a snapshot cloud.
 
 At every iteration the snapshot farthest from the current space is selected
-(ties broken toward the lowest index), and its residual after the two-pass
-Gram-Schmidt step of :func:`~partialrom.geometry.gram_schmidt_residual`,
-normalized, is appended to the basis.  Squared distances are downdated
-incrementally: adding an orthonormal direction u decreases each by
-<u, h_j>^2.  A downdate cancels, so once a row's value falls below
-``sqrt(eps_machine)`` times its last exact value it is recomputed exactly from
-the stored coordinates (the column-norm rule of LAPACK's pivoted QR, xGEQP3).
-Selection, exhaustion and the ``tol`` stop therefore see widths far below
-``sqrt(eps_machine) * ||h||``.  The recorded error curve is one exact
-:func:`~partialrom.geometry.prefix_widths` pass over the final basis; it is
-nonincreasing because each row's prefix residuals are.
+(rows within ``TIE_RTOL`` of the largest squared distance tie, and the lowest
+index wins), and its residual after the two-pass Gram-Schmidt step of
+:func:`~partialrom.geometry.gram_schmidt_residual`, normalized, is appended to
+the basis.  Squared distances are downdated incrementally: adding an
+orthonormal direction u decreases each by <u, h_j>^2.  A downdate cancels, so
+once a row's value falls below ``sqrt(eps_machine)`` times its last exact value
+it is recomputed exactly from the stored coordinates (the column-norm rule of
+LAPACK's pivoted QR, xGEQP3).  Selection, exhaustion and the ``tol`` stop
+therefore see widths far below ``sqrt(eps_machine) * ||h||``.  The recorded
+error curve is one exact :func:`~partialrom.geometry.prefix_widths` pass over
+the final basis; it is nonincreasing because each row's prefix residuals are.
 """
 
 from __future__ import annotations
@@ -28,6 +28,9 @@ EXHAUSTION_TOL = 1e-12
 #: A downdated squared distance below this fraction of its last exact value has
 #: lost half its digits and is recomputed exactly (LAPACK xGEQP3's rule).
 DOWNDATE_TOL = np.sqrt(np.finfo(float).eps)
+#: Squared distances within this fraction of the largest tie for the pick, so
+#: mirror-image snapshots, equal up to summation-order rounding, keep their order.
+TIE_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -86,7 +89,7 @@ def greedy(snapshots: SnapshotSet, stop: StoppingRule) -> GreedyResult:
     indices: list[int] = []
 
     while (k := len(indices)) < max_dim:
-        worst = int(np.argmax(sq_dist))  # argmax takes the first maximum: lowest index wins ties
+        worst = int(np.argmax(sq_dist >= (1.0 - TIE_RTOL) * sq_dist.max()))  # lowest tied index
         if np.sqrt(sq_dist[worst]) < EXHAUSTION_TOL:
             break
         resid = gram_schmidt_residual(basis[:, :k], vectors[worst])

@@ -11,23 +11,24 @@ that edge sees conductivity theta_3 and the right half theta_4, giving the
 load ``c (theta_3^{-1} g_left + theta_4^{-1} g_right)`` for precomputed
 edge-mass vectors.
 
-With the nodes numbered row by row, ``A(theta)`` is banded with half-bandwidth
-``cells + 2``.  Each quadrant part is assembled straight into LAPACK upper band
-form and held only in that form; a solve combines the four bands in O(N b) and
-factors the SPD result with a banded Cholesky (``scipy.linalg.solveh_banded``,
-LAPACK ``pbsv``), one call per state.  The dense mass matrix lives only while
-the model is built: the model holds its Cholesky factor.
+With the nodes numbered row by row, every operator is banded with
+half-bandwidth ``cells + 2`` and is held only in LAPACK upper band form: one
+cell-order scatter assembles the four quadrant stiffness parts and the mass
+matrix as five bands.  The mass band is factored once, ``M = U^T U`` with U
+upper banded (``scipy.linalg.cholesky_banded``); a solve combines the four
+stiffness bands in O(N b) and hands the SPD result to LAPACK ``pbsv``, one
+call per state.
 
-States are exposed in *ambient coordinates*: with the free-node mass matrix
-factored as ``M = L L^T``, a nodal vector ``h`` maps to ``L^T h``, which turns
-the finite-element L2 inner product into the plain dot product used by every
-other module.
+States are exposed in *ambient coordinates*: a nodal vector ``h`` maps to
+``U h`` (BLAS ``tbmv``) and back by a banded triangular solve (LAPACK
+``tbtrs``), which turns the finite-element L2 inner product into the plain dot
+product used by every other module.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular, solveh_banded
+from scipy.linalg import blas, cholesky_banded, lapack
 
 from .errors import ContractViolation
 from .geometry import as_vector
@@ -69,12 +70,11 @@ def _combine(t: np.ndarray, parts) -> np.ndarray:
 
 
 class ThermalBlockModel:
-    """Discretized thermal block, held as banded quadrant parts and the mass factor.
+    """Discretized thermal block, held in LAPACK upper band form only.
 
-    ``stiffness_bands`` holds each quadrant stiffness part in LAPACK upper band
-    form (half-bandwidth ``bandwidth``), assembled straight into that form;
-    ``mass_chol`` is the lower Cholesky factor of the free-node mass matrix.
-    No dense stiffness or mass matrix is kept.
+    ``stiffness_bands`` holds the four quadrant stiffness parts and
+    ``mass_factor`` the upper Cholesky factor U of the mass (``M = U^T U``),
+    both at half-bandwidth ``bandwidth``; no dense (N, N) array is held.
     """
 
     def __init__(self, cells: int = 24):
@@ -93,27 +93,24 @@ class ThermalBlockModel:
         quad = np.where(top, np.where(left, 0, 1), np.where(left, 2, 3))
 
         # Scatter the local matrices in cell order, so every entry sums its
-        # cell contributions in a fixed order.  The top edge is eliminated
+        # cell contributions in a fixed order: the stiffness into its
+        # quadrant's part, the mass into part 4.  The top edge is eliminated
         # (homogeneous Dirichlet): the free nodes are the rows iy < cells, a
-        # prefix of the node numbering, so entries that touch a top-edge
-        # node are dropped before the scatter.
+        # prefix of the node numbering, so entries that touch a top-edge node
+        # are dropped.  A cell couples nodes at most n_side + 1 apart (SW to
+        # NE); upper entries (r, c), c >= r, go straight to band form at
+        # [b - (c - r), c].
         n_free = cells * n_side
+        self.bandwidth = b = n_side + 1
         rows = np.repeat(loc, 4, axis=1)
         cols = np.tile(loc, (1, 4))
-        free = (rows < n_free) & (cols < n_free)
-        mass = np.zeros((n_free, n_free))
-        m_local = np.broadcast_to((h * h * _M_LOCAL).ravel(), free.shape)
-        np.add.at(mass, (rows[free], cols[free]), m_local[free])
-        self.mass_chol = cholesky(mass, lower=True)
-
-        # A cell couples nodes at most n_side + 1 apart (SW to NE).  Upper
-        # entries (r, c), c >= r, go straight to band form at [b - (c - r), c].
-        self.bandwidth = b = n_side + 1
-        up = free & (cols >= rows)
-        at = (np.broadcast_to(quad[:, None], up.shape)[up], (b - cols + rows)[up], cols[up])
-        bands = np.zeros((4, b + 1, n_free))
-        np.add.at(bands, at, np.broadcast_to(_K_LOCAL.ravel(), up.shape)[up])
-        self.stiffness_bands = tuple(bands)
+        up = (cols < n_free) & (cols >= rows)
+        part = np.stack([np.broadcast_to(quad[:, None], up.shape), np.full(up.shape, 4)])
+        local = np.broadcast_to(np.stack([_K_LOCAL, h * h * _M_LOCAL]).reshape(2, 1, 16), part.shape)
+        bands = np.zeros((5, b + 1, n_free))
+        np.add.at(bands, (part[:, up], (b - cols + rows)[up], cols[up]), local[:, up])
+        self.stiffness_bands = tuple(bands[:4])
+        self.mass_factor = cholesky_banded(bands[4])
 
         # Bottom-edge flux load, split by the conductivity seen by each half:
         # row 0 is the left half, row 1 the right half.
@@ -131,28 +128,27 @@ class ThermalBlockModel:
         return _combine(_check_theta(theta), self.stiffness_bands)
 
     def to_ambient(self, nodal) -> np.ndarray:
-        """Nodal coefficients -> ambient coordinates (L^T h)."""
-        return self.mass_chol.T @ as_vector(nodal, self.ambient_dim)
+        """Nodal coefficients -> ambient coordinates (U h)."""
+        return blas.dtbmv(self.bandwidth, self.mass_factor, as_vector(nodal, self.ambient_dim))
 
     def from_ambient(self, coords) -> np.ndarray:
-        """Ambient coordinates -> nodal coefficients (solve L^T h = coords)."""
-        return solve_triangular(
-            self.mass_chol.T, as_vector(coords, self.ambient_dim), lower=False
-        )
+        """Ambient coordinates -> nodal coefficients (solve U h = coords)."""
+        nodal, info = lapack.dtbtrs(self.mass_factor, as_vector(coords, self.ambient_dim))
+        if info:
+            raise np.linalg.LinAlgError(f"LAPACK dtbtrs failed with info={info}")
+        return nodal
 
-    def solve(self, theta, flux: float = 0.0, source_coeffs=None) -> np.ndarray:
+    def solve(self, theta, flux: float = 0.0) -> np.ndarray:
         """Solve the diffusion problem and return the state in ambient coordinates.
 
-        ``flux`` scales the conductivity-normalized bottom-edge load;
-        ``source_coeffs`` is a volumetric source given in ambient coordinates
-        (its nodal load is ``L source_coeffs``).  ``A(theta)`` is SPD for the
-        validated ``theta > 0`` and is factored in band form.
+        ``flux`` scales the conductivity-normalized bottom-edge load; ``A(theta)``
+        is SPD for the validated ``theta > 0``.
         """
         t = _check_theta(theta)
-        rhs = np.zeros(self.ambient_dim)
-        if flux:
-            rhs += flux * (self.flux_left / t[2] + self.flux_right / t[3])
-        if source_coeffs is not None:
-            rhs += self.mass_chol @ as_vector(source_coeffs, self.ambient_dim)
-        nodal = solveh_banded(_combine(t, self.stiffness_bands), rhs, overwrite_ab=True)
+        if not np.isfinite(flux):
+            raise ContractViolation(f"flux must be finite, got {flux}")
+        rhs = flux * (self.flux_left / t[2] + self.flux_right / t[3])
+        _, nodal, info = lapack.dpbsv(_combine(t, self.stiffness_bands), rhs, overwrite_ab=1)
+        if info:
+            raise np.linalg.LinAlgError(f"LAPACK dpbsv failed with info={info}")
         return self.to_ambient(nodal)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -118,6 +118,22 @@ class TestEdgeCases:
         res = greedy(SnapshotSet(vecs), StoppingRule(max_dim=1))
         assert res.selected_indices == (0,)
 
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    @pytest.mark.parametrize("order", ["x_first", "mirror_first"])
+    def test_mirrored_pair_one_ulp_apart_picks_lowest_index(self, ulps, order):
+        # x and its mirror image have equal norms; moving every entry of the
+        # mirror one ulp (toward or away from zero) must not reorder the pair.
+        rng = derived_rng(11)
+        x = rng.standard_normal(8)
+        others = 0.5 * rng.standard_normal((3, 8))
+        mirror = x[::-1].copy()
+        if ulps:
+            mirror = np.nextafter(mirror, ulps * np.inf * np.sign(mirror))
+        pair = [x, mirror] if order == "x_first" else [mirror, x]
+        vecs = np.vstack([others[:1], *pair, others[1:]])
+        res = greedy(SnapshotSet(vecs), StoppingRule())
+        assert res.selected_indices == (1, 2, 3, 0, 4)
+
     def test_rank_deficient_cloud_exhausts(self):
         rng = derived_rng(3)
         base = rng.standard_normal((2, 10))
@@ -220,6 +236,28 @@ def layered_clouds(draw):
     rng = derived_rng(draw(st.integers(0, 2**32 - 1)))
     vecs = big * rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
     return vecs + small * rng.standard_normal((rows, cols))
+
+
+@st.composite
+def permuted_gaussian_clouds(draw):
+    """A Gaussian cloud and a permutation of its rows."""
+    rows, cols = draw(st.integers(1, 20)), draw(st.integers(1, 12))
+    vecs = derived_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((rows, cols))
+    return vecs, np.array(draw(st.permutations(range(rows))))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(permuted_gaussian_clouds())
+def test_picks_map_through_a_row_permutation(cloud):
+    vecs, perm = cloud
+    res = greedy(SnapshotSet(vecs), StoppingRule())
+    # Only clouds whose two farthest rows are well apart at every pick.
+    for t in range(res.terminal_dim):
+        b = res.basis[:, :t]
+        sq = np.sort(np.sum((vecs - (vecs @ b) @ b.T) ** 2, axis=1))
+        assume(len(sq) < 2 or sq[-1] - sq[-2] > 1e-6 * sq[-1])
+    permuted = greedy(SnapshotSet(vecs[perm]), StoppingRule())
+    assert tuple(int(perm[j]) for j in permuted.selected_indices) == res.selected_indices
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)

@@ -12,7 +12,7 @@ import functools
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.linalg import cholesky
+from scipy.linalg import cholesky_banded
 
 from partialrom import thermal
 from partialrom.errors import ContractViolation
@@ -151,7 +151,8 @@ class TestAssembly:
         ref_stiff, ref_mass, ref_gl, ref_gr = assemble_reference(cells)
         for band, ref in zip(model.stiffness_bands, ref_stiff):
             assert_allclose(_dense_from_upper_band(band), ref, atol=1e-13)
-        assert_allclose(model.mass_chol @ model.mass_chol.T, ref_mass, atol=1e-14)
+        u = np.triu(_dense_from_upper_band(model.mass_factor))
+        assert_allclose(u.T @ u, ref_mass, atol=1e-14)
         assert_allclose(model.flux_left, ref_gl, atol=1e-14)
         assert_allclose(model.flux_right, ref_gr, atol=1e-14)
 
@@ -161,7 +162,7 @@ class TestAssembly:
         model = ThermalBlockModel(cells)
         for band, ref in zip(model.stiffness_bands, stiff):
             assert np.array_equal(band, _upper_band(ref, model.bandwidth))
-        assert np.array_equal(model.mass_chol, cholesky(mass, lower=True))
+        assert np.array_equal(model.mass_factor, cholesky_banded(_upper_band(mass, model.bandwidth)))
         assert np.array_equal(model.flux_left, flux[0])
         assert np.array_equal(model.flux_right, flux[1])
 
@@ -211,7 +212,22 @@ class TestAssembly:
         with pytest.raises(ContractViolation):
             model.solve([1.0, 1.0, 1.0, np.inf], flux=1.0)
 
-    def test_holds_no_dense_square_array_but_mass_chol(self):
+    @pytest.mark.parametrize("flux", [np.nan, np.inf, -np.inf])
+    def test_non_finite_flux_rejected_before_arithmetic(self, flux):
+        # pyproject turns a RuntimeWarning from arithmetic on flux into an error.
+        with pytest.raises(ContractViolation, match="flux"):
+            ThermalBlockModel(2).solve((1.0, 1.0, 1.0, 1.0), flux=flux)
+
+    def test_lapack_failures_raise_linalg_error(self):
+        model = ThermalBlockModel(2)
+        model.stiffness_bands = tuple(-part for part in model.stiffness_bands)
+        with pytest.raises(np.linalg.LinAlgError):
+            model.solve((1.0, 1.0, 1.0, 1.0), flux=1.0)
+        model.mass_factor[model.bandwidth, 0] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            model.from_ambient(np.ones(model.ambient_dim))
+
+    def test_holds_no_dense_square_array(self):
         model = ThermalBlockModel(24)
         n = model.ambient_dim
         held = {
@@ -222,7 +238,7 @@ class TestAssembly:
             name for name, values in held.items()
             if any(getattr(v, "shape", None) == (n, n) for v in values)
         )
-        assert square == ["mass_chol"]
+        assert square == []
 
 
 class TestAmbientCoordinates:
@@ -282,14 +298,6 @@ class TestSolve:
         row = nodal[:cells + 1]
         assert not np.allclose(row, row[::-1], rtol=1e-3)
 
-    def test_source_term_residual(self):
-        model = ThermalBlockModel(4)
-        rng = np.random.default_rng(8)
-        s = rng.standard_normal(model.ambient_dim)
-        theta = (1.0, 2.0, 0.5, 1.5)
-        nodal = model.from_ambient(model.solve(theta, source_coeffs=s))
-        assert_allclose(dense_stiffness(4, theta) @ nodal, model.mass_chol @ s, atol=1e-10)
-
     def test_zero_load_zero_solution(self):
         model = ThermalBlockModel(2)
         assert_allclose(model.solve((1.0, 1.0, 1.0, 1.0)), np.zeros(model.ambient_dim))
@@ -320,14 +328,7 @@ class TestBandedSolve:
         for _ in range(5):
             theta = np.exp(rng.uniform(np.log(0.1), np.log(10.0), 4))
             flux = rng.uniform(0.5, 2.0)
-            source = rng.standard_normal(model.ambient_dim)
             rhs = flux * (model.flux_left / theta[2] + model.flux_right / theta[3])
-            cases = (
-                ({"flux": flux}, rhs),
-                ({"source_coeffs": source}, model.mass_chol @ source),
-                ({"flux": flux, "source_coeffs": source}, rhs + model.mass_chol @ source),
-            )
-            for kwargs, load in cases:
-                ref = model.to_ambient(np.linalg.solve(dense_stiffness(cells, theta), load))
-                got = model.solve(theta, **kwargs)
-                assert np.linalg.norm(got - ref) <= 1e-11 * np.linalg.norm(ref)
+            ref = model.to_ambient(np.linalg.solve(dense_stiffness(cells, theta), rhs))
+            got = model.solve(theta, flux=flux)
+            assert np.linalg.norm(got - ref) <= 1e-11 * np.linalg.norm(ref)
