@@ -6,8 +6,8 @@ and ``v*`` of V whose pairwise inner products are diagonal:
 ``<w*_i, v*_j> = sigma_j delta_ij`` with ``1 >= sigma_1 >= ... >= 0`` (the
 cosines of the principal angles).  Writing
 
-* p = number of sigma_j equal to 1 (within ``tol_one``)  -> dim(W ∩ V),
-* q = number of sigma_j > ``tol_zero``                   -> n - q = dim(W⊥ ∩ V),
+* p = number of sigma_j equal to 1 (within ``TOL_ONE``)  -> dim(W ∩ V),
+* q = number of sigma_j > ``TOL_ZERO``                   -> n - q = dim(W⊥ ∩ V),
 
 the ambient space splits into four mutually orthogonal pieces
 
@@ -33,15 +33,15 @@ from .errors import ContractViolation, InfeasibleGeometry
 from .geometry import Subspace, as_vector
 
 
-#: Default thresholds of :func:`principal_counts`: a principal cosine at or
-#: above 1 - TOL_ONE counts as 1, one at or below TOL_ZERO as 0.
+#: Thresholds of :func:`principal_counts`: a principal cosine at or above
+#: 1 - TOL_ONE counts as 1, one at or below TOL_ZERO as 0.
 TOL_ONE = 1e-8
 TOL_ZERO = 1e-10
 
 
-def principal_counts(sigma: np.ndarray, tol_one: float, tol_zero: float) -> tuple[int, int]:
+def principal_counts(sigma: np.ndarray) -> tuple[int, int]:
     """(p, q): how many principal cosines count as 1 and how many as nonzero."""
-    return int(np.sum(sigma >= 1.0 - tol_one)), int(np.sum(sigma > tol_zero))
+    return int(np.sum(sigma >= 1.0 - TOL_ONE)), int(np.sum(sigma > TOL_ZERO))
 
 
 @dataclass(eq=False)
@@ -130,12 +130,7 @@ def _column_signs(mat: np.ndarray) -> np.ndarray:
     return np.where(peaks < 0, -1.0, 1.0)
 
 
-def compute_suitable_bases(
-    v_subspace: Subspace,
-    w_subspace: Subspace,
-    tol_one: float = TOL_ONE,
-    tol_zero: float = TOL_ZERO,
-) -> SuitableBases:
+def compute_suitable_bases(v_subspace: Subspace, w_subspace: Subspace) -> SuitableBases:
     """Compute rotated bases and the four-way orthogonal split for (V, W).
 
     Raises :class:`InfeasibleGeometry` when m + n - p exceeds the ambient
@@ -162,7 +157,7 @@ def compute_suitable_bases(
     x_rot[:, :n_pairs] *= z_signs[:n_pairs]
     x_rot[:, n_pairs:] *= _column_signs(x_rot[:, n_pairs:])
 
-    p, q = principal_counts(sigma, tol_one, tol_zero)
+    p, q = principal_counts(sigma)
     if m + n - p > n_amb:
         raise InfeasibleGeometry(
             f"m + n - p = {m + n - p} exceeds ambient dimension {n_amb}; "
@@ -173,12 +168,9 @@ def compute_suitable_bases(
     v_star = v_subspace.basis @ z_rot
 
     # Interaction directions wt_j for p < j <= q: unit vectors along P_W⊥(v*_j).
-    if q > p:
-        sig_pq = sigma[p:q]
-        scale = 1.0 / np.sqrt(1.0 - sig_pq**2)
-        w_tilde = (v_star[:, p:q] - w_star[:, p:q] * sig_pq) * scale
-    else:
-        w_tilde = np.zeros((n_amb, 0))
+    sig_pq = sigma[p:q]
+    scale = 1.0 / np.sqrt(1.0 - sig_pq**2)
+    w_tilde = (v_star[:, p:q] - w_star[:, p:q] * sig_pq) * scale
 
     return SuitableBases(
         v_subspace=v_subspace,
@@ -210,14 +202,12 @@ class DecomposedVector:
         self.residual_coeffs = residual_coeffs      # on u_{1..r}
 
     def reconstruct(self, bases: SuitableBases) -> np.ndarray:
-        out = bases.w_star @ self.w_star_coeffs
-        if self.interaction_coeffs.size:
-            out = out + bases.w_tilde @ self.interaction_coeffs
-        if self.tail_coeffs.size:
-            out = out + bases.v_star_tail @ self.tail_coeffs
-        if self.residual_coeffs.size:
-            out = out + bases.u_basis @ self.residual_coeffs
-        return out
+        return (
+            bases.w_star @ self.w_star_coeffs
+            + bases.w_tilde @ self.interaction_coeffs
+            + bases.v_star_tail @ self.tail_coeffs
+            + bases.u_basis @ self.residual_coeffs
+        )
 
 
 def decompose(h, bases: SuitableBases) -> DecomposedVector:

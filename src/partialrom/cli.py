@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bases import TOL_ONE, TOL_ZERO, principal_counts
+from .bases import principal_counts
 from .bounds import check_dimensions, format_extended, posterior_width_bounds
 from .errors import ConfigError, ContractViolation, EmptySliceError, InfeasibleGeometry
 from .experiment import RunConfig, _build_bundle, posterior_cloud, run_experiment
@@ -113,10 +113,13 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             raise ConfigError(f"{flag} must be finite and >= 0, got {value}")
     if args.i_max is not None and args.i_max < 0:
         raise ConfigError(f"--i-max must be >= 0, got {args.i_max}")
+    # A negative --ambient is impossible geometry, which posterior_width_bounds reports.
+    if args.i_max is not None and 0 <= args.ambient < args.i_max:
+        raise ConfigError(f"--i-max = {args.i_max} exceeds --ambient = {args.ambient}")
     _check_seed(args.seed)
     check_dimensions(args.k, args.n, args.m)  # before _parse_sigma sizes sigma by min(m, n)
     sigma = _parse_sigma(args)
-    p, q = principal_counts(sigma, TOL_ONE, TOL_ZERO)
+    p, q = principal_counts(sigma)
     curve = posterior_width_bounds(
         k=args.k,
         n=args.n,
@@ -189,7 +192,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     from .selftest import run_selftest
 
     _check_seed(args.seed)
-    failures = run_selftest(seed=args.seed, verbose=True)
+    failures = run_selftest(seed=args.seed)
     return EXIT_OK if failures == 0 else EXIT_NUMERICAL
 
 

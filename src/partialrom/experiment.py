@@ -35,7 +35,7 @@ from .bounds import (
     format_extended,
     posterior_width_bounds,
 )
-from .errors import ConfigError
+from .errors import ConfigError, ContractViolation
 from .estimate import estimate_manifold
 from .geometry import PriorManifold, SnapshotSet, Subspace, prefix_widths
 from .greedy import GreedyResult, StoppingRule, greedy
@@ -95,8 +95,10 @@ class RunConfig:
         for name in ("reps", "i_max", "per_point", "m", "n", "n_factors", "max_draw_factor"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.pi not in ("uniform", "uniform-beta", "mixture"):
-            raise ConfigError(f"pi must be 'uniform', 'uniform-beta' or 'mixture', got {self.pi!r}")
+        try:
+            PiDistribution.from_name(self.pi)
+        except ContractViolation as exc:
+            raise ConfigError(f"bad pi: {exc}") from exc
         if self.d_box < 0:
             raise ConfigError(f"d_box must be >= 0, got {self.d_box}")
         if self.n_factors > self.n:
@@ -161,8 +163,8 @@ class RunConfig:
         return cls(**coerced)
 
     @classmethod
-    def from_config_file(cls, path: str | Path, overrides: dict | None = None) -> "RunConfig":
-        """Parse a flat ``key = value`` text file; later CLI overrides win."""
+    def from_config_file(cls, path: str | Path) -> "RunConfig":
+        """Parse a flat ``key = value`` text file."""
         data: dict = {}
         for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
             stripped = line.split("#", 1)[0].strip()
@@ -172,8 +174,6 @@ class RunConfig:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
             key, value = (part.strip() for part in stripped.split("=", 1))
             data[key] = value
-        if overrides:
-            data.update(overrides)
         return cls.from_dict(data)
 
     @classmethod
@@ -238,8 +238,7 @@ def nested_width_curve_from_greedy(
     serves every dimension.  Beyond the terminal dimension the value is held.
     """
     d = min(gr.terminal_dim, i_max)
-    widths = prefix_widths(cloud.vectors, gr.basis[:, :d]) if d else ()
-    return _held_width_curve(cloud, widths, i_max)
+    return _held_width_curve(cloud, prefix_widths(cloud.vectors, gr.basis[:, :d]), i_max)
 
 
 def _held_width_curve(cloud: SnapshotSet, widths, i_max: int) -> list[float]:

@@ -22,6 +22,10 @@ from .errors import ContractViolation
 #: as linearly dependent.
 DROP_TOL = 1e-10
 
+#: Slack added to a tube's width in every membership test, the sampler's
+#: acceptance test included, so that boundary points survive rounding noise.
+TUBE_SLACK = 1e-9
+
 
 def as_vector(h, ambient_dim: int | None = None) -> np.ndarray:
     """Validate ``h`` as a finite 1-D float vector, optionally of fixed length."""
@@ -132,8 +136,6 @@ def orthonormalize(vectors, ambient_dim: int | None = None) -> Subspace:
 def project(h, subspace: Subspace) -> np.ndarray:
     """Orthogonal projection of ``h`` onto the subspace."""
     v = as_vector(h, subspace.ambient_dim)
-    if subspace.dim == 0:
-        return np.zeros_like(v)
     b = subspace.basis
     return b @ (b.T @ v)
 
@@ -179,8 +181,8 @@ class DegenerateEllipsoid:
         return self.subspace.ambient_dim
 
 
-def ellipsoid_contains(ellipsoid: DegenerateEllipsoid, h, tol: float = 1e-9) -> bool:
-    return dist(h, ellipsoid.subspace) <= ellipsoid.width + tol
+def ellipsoid_contains(ellipsoid: DegenerateEllipsoid, h) -> bool:
+    return dist(h, ellipsoid.subspace) <= ellipsoid.width + TUBE_SLACK
 
 
 @dataclass(frozen=True)
@@ -218,8 +220,8 @@ class PriorManifold:
         return cls((DegenerateEllipsoid(subspace, width),))
 
 
-def prior_contains(prior: PriorManifold, h, tol: float = 1e-9) -> bool:
-    return all(ellipsoid_contains(e, h, tol) for e in prior.ellipsoids)
+def prior_contains(prior: PriorManifold, h) -> bool:
+    return all(ellipsoid_contains(e, h) for e in prior.ellipsoids)
 
 
 def prefix_widths(vectors: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -289,8 +291,6 @@ class SnapshotSet:
         if subspace.ambient_dim != self.ambient_dim:
             raise ContractViolation("subspace ambient dimension does not match snapshots")
         v = self.vectors
-        if subspace.dim == 0:
-            return np.linalg.norm(v, axis=1)
         b = subspace.basis
         resid = v - (v @ b) @ b.T
         return np.linalg.norm(resid, axis=1)

@@ -36,6 +36,7 @@ import numpy as np
 from .bases import SuitableBases, compute_suitable_bases
 from .errors import ContractViolation, EmptySliceError, PartialSampleWarning
 from .geometry import (
+    TUBE_SLACK,
     DegenerateEllipsoid,
     PriorManifold,
     SnapshotSet,
@@ -47,10 +48,6 @@ from .rng import as_rng, derived_rng
 
 #: Half-width of the uniform box for the unobserved prior coefficients d_j.
 DEFAULT_D_BOX = 10.0
-
-#: Tolerance added to a factor's width in the multi-prior acceptance test, so
-#: that draws from the reference slice are not lost to rounding noise.
-ACCEPT_TOL = 1e-9
 
 #: A deviation budget below 0 by at most (BUDGET_ULPS * m * eps_machine *
 #: ||a*||)^2 is rounding, not an inconsistent observation (a zero-width prior
@@ -352,11 +349,13 @@ def _rejection_sample(
     checked before any slice is looked at.  Point i draws from ``rngs[i]`` in
     the reference factor ``j_star``'s slice: ``n_samples`` first, then what it
     still lacks, until it holds ``n_samples`` or has drawn ``max_draws``.  A
-    draw is kept iff it lies within every other factor's width, so a single
-    tube keeps its first round whole.  Points go in blocks of
-    ``_BLOCK_POINTS``; in each round the points of a block that draw the same
-    number are drawn together, with every product taken per point, so each
-    point's draws are bitwise those of a one-point call.
+    draw is kept iff it lies within every other factor's width plus
+    ``TUBE_SLACK``, so a single tube keeps its first round whole.  Points go
+    in blocks of ``_BLOCK_POINTS``; in each round the points of a block that
+    draw the same number are drawn together into a scratch array, with every
+    product taken per point, and each point's kept rows are copied after the
+    rows it already holds, so each point's draws are bitwise those of a
+    one-point call.
 
     Returns the kept draws (point by point, in draw order) and each point's
     kept and drawn counts.  Points left short raise one
@@ -386,26 +385,19 @@ def _rejection_sample(
                 draws = _SliceDraws(bases, pts.size * chunk, pi_dist, d_box)
                 for k, i in enumerate(pts):
                     draws.fill(slice(k * chunk, (k + 1) * chunk), rngs[i])
-                # The first round draws n_samples for every point of the block
-                # straight into their rows of ``out``; a redraw round draws into
-                # a scratch array and copies the kept rows after them.
-                first = not drawn[pts[0]]
-                if first:
-                    batch = out[start : start + pts.size]
-                else:
-                    batch = np.empty((pts.size, chunk, ambient))
+                batch = np.empty((pts.size, chunk, ambient))
                 batch[:] = centers[pts - start]
                 draws.add_to(batch.reshape(-1, ambient), np.repeat(budgets[pts], chunk), pts.size)
                 ok = np.ones((pts.size, chunk), dtype=bool)
                 for e in others:
                     bb = e.subspace.basis
                     resid = np.linalg.norm(batch - (batch @ bb) @ bb.T, axis=-1)
-                    ok &= resid <= e.width + ACCEPT_TOL
-                for k in np.flatnonzero(~ok.all(axis=1)) if first else range(pts.size):
-                    i = pts[k]
-                    rows = batch[k][ok[k]]
-                    out[i, kept[i] : kept[i] + len(rows)] = rows
-                kept[pts] += ok.sum(axis=1)
+                    ok &= resid <= e.width + TUBE_SLACK
+                # Each point's kept rows, in draw order, go after those it holds.
+                hits = ok.sum(axis=1)
+                slots = kept[pts, None] + np.cumsum(ok, axis=1) - 1
+                out[np.repeat(pts, hits), slots[ok]] = batch[ok]
+                kept[pts] += hits
                 drawn[pts] += chunk
         if not kept[block].all():
             break
@@ -516,7 +508,6 @@ def union_set_contains(
     eps: float,
     prior: DegenerateEllipsoid,
     bases: SuitableBases,
-    tol: float = 1e-9,
 ) -> bool:
     """Membership in the union of all slices over observations from the tube
     ``{dist(., T) <= eps}``.
@@ -526,11 +517,11 @@ def union_set_contains(
     along T leaves the first budget untouched and enters the second as a least
     squares problem, which is solved exactly:
 
-        sum_{j>q} a_j^2 + sum b_j^2 + sum c_j^2  <=  eps'^2 + tol
-        min_{t in T} sum_{j<=q} (A_j - sigma_j t_j)^2 + sum_{j>q} a_j^2  <=  eps^2 + tol
+        sum_{j>q} a_j^2 + sum b_j^2 + sum c_j^2  <=  eps'^2 + TUBE_SLACK
+        min_{t in T} sum_{j<=q} (A_j - sigma_j t_j)^2 + sum_{j>q} a_j^2  <=  eps^2 + TUBE_SLACK
 
     with ``b_j = sqrt(1 - sigma_j^2) A_j - sigma_j B_j`` read off the w* and wt
-    coefficients of ``h'``.  ``tol`` is added to the squared budgets.
+    coefficients of ``h'``; the tube slack is added to the squared budgets.
     """
     if eps < 0:
         raise ContractViolation(f"eps must be >= 0, got {eps}")
@@ -549,7 +540,7 @@ def union_set_contains(
     sigma_q[p:q] = bases.sigma[p:q]
     b_free = np.sqrt(1.0 - sigma_q[p:q] ** 2) * a_coeffs[p:q] - sigma_q[p:q] * b_wt
     budget_prior = float(np.sum(a_coeffs[q:] ** 2) + np.sum(b_free**2) + c_sq)
-    if budget_prior > prior.width**2 + tol:
+    if budget_prior > prior.width**2 + TUBE_SLACK:
         return False
 
     # Minimize the intrinsic budget over the free component in T.
@@ -562,4 +553,4 @@ def union_set_contains(
     else:
         head_resid_sq = float(head @ head)
     budget_intrinsic = head_resid_sq + float(np.sum(a_coeffs[q:] ** 2))
-    return budget_intrinsic <= eps**2 + tol
+    return budget_intrinsic <= eps**2 + TUBE_SLACK

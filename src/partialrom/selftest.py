@@ -132,8 +132,8 @@ CHECKS = [
 ]
 
 
-def run_selftest(seed: int = 0, verbose: bool = True) -> int:
-    """Run all checks; return the number of failures."""
+def run_selftest(seed: int = 0) -> int:
+    """Run all checks, printing one line each; return the number of failures."""
     failures = 0
     for name, check in CHECKS:
         try:
@@ -142,7 +142,6 @@ def run_selftest(seed: int = 0, verbose: bool = True) -> int:
         except Exception as exc:  # a crash is a failure, not an abort
             ok = False
             detail = f": {type(exc).__name__}: {exc}"
-        if verbose:
-            print(f"{'PASS' if ok else 'FAIL'} {name}{detail}")
+        print(f"{'PASS' if ok else 'FAIL'} {name}{detail}")
         failures += 0 if ok else 1
     return failures

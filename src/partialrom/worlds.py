@@ -34,6 +34,9 @@ from .greedy import GreedyResult, StoppingRule, greedy
 from .rng import derived_rng
 from .thermal import ThermalBlockModel
 
+#: Slack of :func:`check_nested_prior`, on the widths and on the nesting test.
+NEST_TOL = 1e-8
+
 
 def random_subspace(ambient_dim: int, dim: int, rng: np.random.Generator) -> Subspace:
     """Uniformly random dim-dimensional subspace (orthonormalized Gaussians)."""
@@ -46,15 +49,15 @@ def random_subspace(ambient_dim: int, dim: int, rng: np.random.Generator) -> Sub
     return sub
 
 
-def check_nested_prior(prior: PriorManifold, tol: float = 1e-8) -> None:
+def check_nested_prior(prior: PriorManifold) -> None:
     """Assert factor subspaces are nested with nonincreasing widths."""
     ells = prior.ellipsoids
     for a, b in zip(ells, ells[1:]):
-        if b.width > a.width + tol:
+        if b.width > a.width + NEST_TOL:
             raise ContractViolation(
                 f"prior widths must be nonincreasing, got {a.width} then {b.width}"
             )
-        if not lies_in(a.subspace, b.subspace, tol):
+        if not lies_in(a.subspace, b.subspace, NEST_TOL):
             raise ContractViolation("prior subspaces are not nested")
 
 

@@ -164,7 +164,7 @@ class TestErrorsAndEdges:
         with pytest.raises(ContractViolation):
             compute_suitable_bases(Subspace(np.eye(3)[:, :1]), Subspace.zero(3))
 
-    def test_infeasible_when_blocks_exceed_ambient(self):
+    def test_infeasible_when_blocks_exceed_ambient(self, monkeypatch):
         # Two 3-dim subspaces of R^5 necessarily share a direction, so the
         # four-block split exists only if that direction is counted into p.
         # With an intersection tolerance too strict to count it, the
@@ -172,8 +172,9 @@ class TestErrorsAndEdges:
         base = np.eye(5)
         w = Subspace(base[:, :3])
         v = Subspace(np.column_stack([base[:, 0], base[:, 3], base[:, 4]]))
+        monkeypatch.setattr("partialrom.bases.TOL_ONE", -1.0)
         with pytest.raises(InfeasibleGeometry):
-            compute_suitable_bases(v, w, tol_one=-1.0)
+            compute_suitable_bases(v, w)
 
     def test_u_basis_is_lazy(self, rng):
         w, v = random_subspace_pair(rng, 12, 3, 4)

@@ -65,9 +65,9 @@ class TestBounds:
 
     def test_output_directory(self, tmp_path, capsys):
         out = tmp_path / "bounds_run"
-        assert main(self.BASE + ["--i-max", "12", "--out", str(out)]) == 0
+        assert main(self.BASE + ["--i-max", "10", "--out", str(out)]) == 0
         rows = self.parse((out / "bounds.csv").read_text())
-        assert len(rows) == 13
+        assert len(rows) == 11
         # The d_bbar floor appears at i = 9 with value eps.
         assert rows[8][2] == math.inf
         assert_allclose(rows[9][2], 1e-3, rtol=1e-12)
@@ -113,6 +113,13 @@ class TestBounds:
             assert main(self.BASE[: -1] + [bad_value]) == 2
         assert main(self.BASE + ["--i-max", "-3"]) == 2
         assert "--i-max" in capsys.readouterr().err
+
+    def test_i_max_above_ambient_exits_2(self, capsys):
+        # BASE has --ambient 10: the table may reach i = 10 but not beyond.
+        assert main(self.BASE + ["--i-max", "11"]) == 2
+        assert "--i-max" in capsys.readouterr().err
+        assert main(self.BASE + ["--i-max", "10"]) == 0
+        assert len(self.parse(capsys.readouterr().out)) == 11
 
     @pytest.mark.parametrize("flag", ["--eps", "--eps-prime"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-0.1"])

@@ -140,12 +140,6 @@ class TestRunConfig:
         cfg = RunConfig.from_config_file(path)
         assert cfg.setup == 2 and cfg.seed == 31 and cfg.d_box == 4.0
 
-    def test_config_file_overrides_win(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("seed = 31\nreps = 2\n")
-        cfg = RunConfig.from_config_file(path, overrides={"seed": "99"})
-        assert cfg.seed == 99 and cfg.reps == 2
-
     def test_config_file_bad_line(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("seed 31\n")

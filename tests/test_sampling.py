@@ -13,11 +13,14 @@ from conftest import prescribed_pair, random_orthonormal, random_subspace_pair
 from partialrom.bases import compute_suitable_bases
 from partialrom.errors import ContractViolation, EmptySliceError, PartialSampleWarning
 from partialrom.geometry import (
+    TUBE_SLACK,
     DegenerateEllipsoid,
     PriorManifold,
     SnapshotSet,
     Subspace,
     dist,
+    lies_in,
+    orthonormalize,
 )
 from partialrom.rng import derived_rng
 from partialrom.sampling import (
@@ -566,6 +569,34 @@ class TestSamplePosterior:
             # the second round drew second chunks of different sizes.
             assert not all(c.complete for c in calls) and all(c.n_accepted for c in calls)
             assert len({c.n_draws for c in calls} - {6, max_draws}) >= 2
+
+    def test_non_nested_tubes(self):
+        # The reference tube around V (last, the default) and two other tubes,
+        # around A = span(v_1, v_2, x) and B = span(v_1, y): B does not lie in
+        # A, nor either in V.  The other tubes reject about a third of the
+        # draws, so most points draw a second round.
+        rng = derived_rng(1618)
+        w, v = prescribed_pair(rng, m=6, n=5, p=1, q=4, r=8)
+        x, y = rng.standard_normal((2, w.ambient_dim))
+        a = orthonormalize([v.basis[:, 0], v.basis[:, 1], x])
+        b = orthonormalize([v.basis[:, 0], y])
+        assert not (lies_in(b, a) or lies_in(a, v) or lies_in(b, v))
+        prior = PriorManifold(
+            (DegenerateEllipsoid(a, 0.5), DegenerateEllipsoid(b, 0.6), DegenerateEllipsoid(v, 0.3))
+        )
+        off = rng.standard_normal((40, w.ambient_dim))
+        off -= (off @ v.basis) @ v.basis.T
+        off *= (rng.uniform(0.0, 0.05, 40) / np.linalg.norm(off, axis=1))[:, None]
+        cloud = SnapshotSet(np.outer(rng.standard_normal(40), v.basis[:, 0]) + off)
+
+        calls = _per_point_calls(w, prior, cloud, 3, None)
+        batch = sample_posterior(cloud, w, prior, 6, PiDistribution.mixture(), 0.5, seed=77)
+        assert np.array_equal(batch.vectors, np.vstack([c.samples.vectors for c in calls]))
+        assert all(c.complete for c in calls) and sum(c.n_draws for c in calls) > len(batch)
+        for e in prior.ellipsoids:
+            assert batch.residual_norms(e.subspace).max() <= e.width + TUBE_SLACK
+        obs = np.repeat(observe_cloud(cloud, w), 6, axis=0)
+        assert_allclose(observe_cloud(batch, w), obs, atol=1e-10)
 
     def test_short_points_give_one_warning_per_call(self):
         w, prior, cloud, j_star, max_draws = _multi_case("tight budget")
