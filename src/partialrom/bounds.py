@@ -185,9 +185,8 @@ def certificate_widths(
     (cancellation-free) :func:`prefix_widths` pass over its ordered basis.
     """
     widths = np.full(i_max + 1, INF)
-    norm_max = np.linalg.norm(cloud.vectors, axis=1).max()
     for basis, prefixes in _certificates(t_subspace, bases, range(i_max + 1)):
-        by_length = np.concatenate([[norm_max], prefix_widths(cloud.vectors, basis)])
+        by_length = np.concatenate([[cloud.max_norm], prefix_widths(cloud.vectors, basis)])
         for i, length in prefixes:
             widths[i] = by_length[length]
     return widths

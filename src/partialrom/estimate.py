@@ -15,7 +15,7 @@ import numpy as np
 from .bases import SuitableBases, compute_suitable_bases
 from .errors import UnsupportedPriorError
 from .geometry import DegenerateEllipsoid, PriorManifold, SnapshotSet, Subspace
-from .sampling import Observation, build_slice, observe_cloud
+from .sampling import Observation, _check_bases, build_slice, observe_cloud
 
 
 def _single_factor(prior: PriorManifold | DegenerateEllipsoid) -> DegenerateEllipsoid:
@@ -49,5 +49,6 @@ def estimate_manifold(
     factor = _single_factor(prior)
     if bases is None:
         bases = compute_suitable_bases(factor.subspace, w_subspace)
+    _check_bases(bases, factor, w_subspace)
     a_star = bases.w_star_coefficients(observe_cloud(manifold_samples, w_subspace))
     return SnapshotSet(bases.slice_centers(a_star[:, None, :])[:, 0])

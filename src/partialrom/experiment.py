@@ -236,24 +236,19 @@ def nested_width_curve_from_greedy(
 
     Exploits that nested greedy bases share prefixes, so one coordinate matrix
     serves every dimension.  Beyond the terminal dimension the value is held.
+    On the cloud ``gr`` was built on (``max_dim = i_max``) it is the held
+    ``gr.error_curve``: ``greedy`` records that with the same pass.
     """
     d = min(gr.terminal_dim, i_max)
-    return _held_width_curve(cloud, prefix_widths(cloud.vectors, gr.basis[:, :d]), i_max)
+    return _held_curve([cloud.max_norm, *prefix_widths(cloud.vectors, gr.basis[:, :d])], i_max)
 
 
-def _held_width_curve(cloud: SnapshotSet, widths, i_max: int) -> list[float]:
-    """``[max ||h||, *widths]`` over ``cloud``, the last value held to dim i_max.
-
-    For the cloud a greedy result ``gr`` was built on with ``max_dim = i_max``,
-    ``widths = gr.error_curve`` gives :func:`nested_width_curve_from_greedy`:
-    ``greedy`` recorded that curve with the same ``prefix_widths`` pass.
-    """
-    sq_norms = np.einsum("ij,ij->i", cloud.vectors, cloud.vectors)
-    curve = [float(np.sqrt(sq_norms.max()))]
-    curve.extend(float(x) for x in widths)
-    while len(curve) <= i_max:
-        curve.append(curve[-1])
-    return curve
+def _held_curve(widths, i_max: int, dims=None) -> list[float]:
+    """``widths[d]`` at the largest measured dimension ``d <= i``, i = 0..i_max;
+    ``dims`` (ascending from 0) lists the measured ones, all by default."""
+    dims = np.arange(len(widths)) if dims is None else np.asarray(dims)
+    held = dims[np.searchsorted(dims, np.arange(i_max + 1), side="right") - 1]
+    return [float(widths[d]) for d in held]
 
 
 def _build_bundle(cfg: RunConfig) -> WorldBundle:
@@ -304,7 +299,7 @@ def _build_bundle(cfg: RunConfig) -> WorldBundle:
         w_subspace=w_sub,
         prior_single=prior_single,
         prior_multi=prior_manifold(cfg.n_factors) if cfg.n_factors > 1 else None,
-        prior_width_by_dim=np.array([np.linalg.norm(source.vectors, axis=1).max(), *curve]),
+        prior_width_by_dim=np.array([source.max_norm, *curve]),
         t_subspace=t_sub,
         eps_intrinsic=empirical_width(m_cloud, t_sub),
         bases_single=compute_suitable_bases(prior_single.ellipsoids[0].subspace, w_sub),
@@ -382,7 +377,7 @@ def _run_rep(
         cloud = posterior_cloud(cfg, bundle, prior, derived_seed(cfg.seed, stream, rep))
         gr = greedy(cloud, stop)
         records += _curve_records(f"post_{kind}", rep, "M", widths(gr, bundle.m_cloud))
-        own = _held_width_curve(cloud, gr.error_curve, cfg.i_max)
+        own = _held_curve([cloud.max_norm, *gr.error_curve], cfg.i_max)
         records += _curve_records(f"post_{kind}", rep, "Mpost", own)
         if kind == "single":
             # The deterministic families are judged against this repetition's cloud.
@@ -399,7 +394,7 @@ def run_experiment(cfg: RunConfig) -> ExperimentResult:
 
     records: list[CurveRecord] = []
     gr_perf = greedy(bundle.m_cloud, stop)
-    own = _held_width_curve(bundle.m_cloud, gr_perf.error_curve, cfg.i_max)
+    own = _held_curve([bundle.m_cloud.max_norm, *gr_perf.error_curve], cfg.i_max)
     records += _curve_records("perf", 0, "M", own)
     est_cloud = estimate_manifold(
         bundle.m_cloud, bundle.w_subspace, bundle.prior_single, bundle.bases_single
@@ -412,12 +407,10 @@ def run_experiment(cfg: RunConfig) -> ExperimentResult:
     # Reference curves: the two bound sequences, and what each prior alone
     # gives at dimension i, the width at its largest nested dimension <= i.
     widths = bundle.prior_width_by_dim
-    prior_dims = {"prior_single": range(len(widths))}
+    records += _curve_records("prior_single", 0, "bound", _held_curve(widths, cfg.i_max))
     if bundle.prior_multi is not None:
-        prior_dims["prior_multi"] = [0] + [e.subspace.dim for e in bundle.prior_multi.ellipsoids]
-    for method, dims in prior_dims.items():
-        vals = [widths[max(d for d in dims if d <= i)] for i in range(cfg.i_max + 1)]
-        records += _curve_records(method, 0, "bound", vals)
+        dims = [0] + [e.subspace.dim for e in bundle.prior_multi.ellipsoids]
+        records += _curve_records("prior_multi", 0, "bound", _held_curve(widths, cfg.i_max, dims))
 
     b = bundle.bases_single
     eps_prime = bundle.prior_single.ellipsoids[0].width

@@ -11,6 +11,7 @@ products appear anywhere downstream.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,10 +141,14 @@ def project(h, subspace: Subspace) -> np.ndarray:
     return b @ (b.T @ v)
 
 
+def distances(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Distance of each row of ``x`` (any leading shape) to the span of orthonormal ``basis``."""
+    return np.linalg.norm(x - (x @ basis) @ basis.T, axis=-1)
+
+
 def dist(h, subspace: Subspace) -> float:
     """Euclidean distance from ``h`` to the subspace."""
-    v = as_vector(h, subspace.ambient_dim)
-    return float(np.linalg.norm(v - project(v, subspace)))
+    return float(distances(as_vector(h, subspace.ambient_dim), subspace.basis))
 
 
 def lies_in(inner: Subspace, outer: Subspace, tol: float = 1e-8) -> bool:
@@ -286,11 +291,13 @@ class SnapshotSet:
             raise ContractViolation("snapshot sets live in different ambient dimensions")
         return SnapshotSet(np.vstack([self.vectors, other.vectors]))
 
+    @functools.cached_property
+    def max_norm(self) -> float:
+        """Largest snapshot norm, the cloud's width over S_0 = {0} (``vectors`` is read-only)."""
+        return float(np.linalg.norm(self.vectors, axis=1).max())
+
     def residual_norms(self, subspace: Subspace) -> np.ndarray:
-        """Distances of every snapshot to ``subspace`` (vectorized)."""
+        """Distances of every snapshot to ``subspace``."""
         if subspace.ambient_dim != self.ambient_dim:
             raise ContractViolation("subspace ambient dimension does not match snapshots")
-        v = self.vectors
-        b = subspace.basis
-        resid = v - (v @ b) @ b.T
-        return np.linalg.norm(resid, axis=1)
+        return distances(self.vectors, subspace.basis)

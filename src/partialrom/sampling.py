@@ -42,6 +42,7 @@ from .geometry import (
     SnapshotSet,
     Subspace,
     as_vector,
+    distances,
     lies_in,
 )
 from .rng import as_rng, derived_rng
@@ -168,11 +169,12 @@ def _deviation_budgets(a_star: np.ndarray, width: float, bases: SuitableBases) -
     return budgets
 
 
-def _check_bases(bases: SuitableBases, prior: DegenerateEllipsoid) -> None:
-    if bases.v_subspace is not prior.subspace and not np.array_equal(
-        bases.v_subspace.basis, prior.subspace.basis
-    ):
-        raise ContractViolation("bases were not computed from the prior subspace")
+def _check_bases(bases: SuitableBases, prior: DegenerateEllipsoid, w: Subspace | None = None) -> None:
+    """Reject ``bases`` not computed from ``prior``'s subspace and from ``w``, if given."""
+    pairs = (("prior", bases.v_subspace, prior.subspace), ("observation", bases.w_subspace, w))
+    for name, own, given in pairs:
+        if given is not None and own is not given and not np.array_equal(own.basis, given.basis):
+            raise ContractViolation(f"bases were not computed from the {name} subspace")
 
 
 def _slice_error(message: str, point: int | None = None) -> EmptySliceError:
@@ -345,17 +347,17 @@ def _rejection_sample(
     """Rejection-sample the posterior of every row of w*-coefficients
     ``a_star`` (one row per manifold point) under ``prior``.
 
-    ``n_samples``, ``max_draws`` (see :func:`_draw_limit`) and ``d_box`` are
-    checked before any slice is looked at.  Point i draws from ``rngs[i]`` in
-    the reference factor ``j_star``'s slice: ``n_samples`` first, then what it
-    still lacks, until it holds ``n_samples`` or has drawn ``max_draws``.  A
-    draw is kept iff it lies within every other factor's width plus
-    ``TUBE_SLACK``, so a single tube keeps its first round whole.  Points go
-    in blocks of ``_BLOCK_POINTS``; in each round the points of a block that
-    draw the same number are drawn together into a scratch array, with every
-    product taken per point, and each point's kept rows are copied after the
-    rows it already holds, so each point's draws are bitwise those of a
-    one-point call.
+    ``n_samples``, ``max_draws`` (see :func:`_draw_limit`) and ``d_box``
+    (finite, >= 0) are checked before any slice is looked at.  Point i draws
+    from ``rngs[i]`` in the reference factor ``j_star``'s slice: ``n_samples``
+    first, then what it still lacks, until it holds ``n_samples`` or has drawn
+    ``max_draws``.  A draw is kept iff it lies within every other factor's
+    width plus ``TUBE_SLACK``, so a single tube keeps its first round whole.
+    Points go in blocks of ``_BLOCK_POINTS``; in each round the points of a
+    block that draw the same number are drawn together into a scratch array,
+    with every product taken per point, and each point's kept rows are copied
+    after the rows it already holds, so each point's draws are bitwise those
+    of a one-point call.
 
     Returns the kept draws (point by point, in draw order) and each point's
     kept and drawn counts.  Points left short raise one
@@ -364,8 +366,8 @@ def _rejection_sample(
     naming the point if ``name_points``.
     """
     max_draws = _draw_limit(n_samples, max_draws)
-    if d_box < 0:
-        raise ContractViolation(f"d_box must be >= 0, got {d_box}")
+    if not 0 <= d_box < np.inf:
+        raise ContractViolation(f"d_box must be >= 0 and finite, got {d_box}")
     ref = prior.factor(j_star)
     others = [e for i, e in enumerate(prior.ellipsoids) if i != j_star - 1]
     n_points, ambient = a_star.shape[0], bases.ambient_dim
@@ -390,9 +392,7 @@ def _rejection_sample(
                 draws.add_to(batch.reshape(-1, ambient), np.repeat(budgets[pts], chunk), pts.size)
                 ok = np.ones((pts.size, chunk), dtype=bool)
                 for e in others:
-                    bb = e.subspace.basis
-                    resid = np.linalg.norm(batch - (batch @ bb) @ bb.T, axis=-1)
-                    ok &= resid <= e.width + TUBE_SLACK
+                    ok &= distances(batch, e.subspace.basis) <= e.width + TUBE_SLACK
                 # Each point's kept rows, in draw order, go after those it holds.
                 hits = ok.sum(axis=1)
                 slots = kept[pts, None] + np.cumsum(ok, axis=1) - 1

@@ -74,3 +74,22 @@ def test_run_directories_add_manifest_scalars(tmp_path, capsys):
         "scalar,before,after", "eps_prime,1e-09,1e-09", "eps_intrinsic,0.1,0.1",
         "beta,0.5,0.25", "n_prior,-,3",
     ]
+
+
+@pytest.mark.parametrize("missing", ["csv", "curves.csv", "manifest.json"])
+def test_missing_file_exits_2_with_one_line(tmp_path, capsys, missing):
+    for name in ("a", "b"):
+        run = tmp_path / name
+        run.mkdir()
+        _write(run / "curves.csv", ["post,0,0,M,2.0"])
+        (run / "manifest.json").write_text("{}")
+    if missing == "csv":
+        args = [str(tmp_path / "a" / "curves.csv"), str(tmp_path / "b" / "gone.csv")]
+    else:
+        (tmp_path / "b" / missing).unlink()
+        args = [str(tmp_path / "a"), str(tmp_path / "b")]
+    assert curve_moves.main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("curve_moves: cannot read ")
+    assert str(tmp_path / "b") in captured.err

@@ -122,6 +122,17 @@ class TestEstimateManifold:
         assert_allclose(a.vectors, b.vectors, atol=1e-12)
 
 
+    @pytest.mark.parametrize("other", ["V", "W"])
+    def test_bases_of_another_pair_rejected(self, rng, other):
+        w, v = random_subspace_pair(rng, 12, 5, 4)
+        w2, v2 = random_subspace_pair(rng, 12, 5, 4)
+        prior = DegenerateEllipsoid(v, 0.3)
+        sb = compute_suitable_bases(v2, w) if other == "V" else compute_suitable_bases(v, w2)
+        cloud = SnapshotSet(rng.standard_normal((3, 12)))
+        with pytest.raises(ContractViolation, match="bases were not computed from the"):
+            estimate_manifold(cloud, w, prior, bases=sb)
+
+
 class TestReduceFromEstimates:
     def test_pipeline_recovers_observable_prior_directions(self, rng):
         # Estimates of states in V live in span{v*_1..q}; the greedy reduction

@@ -13,7 +13,7 @@ from partialrom.experiment import (
     CSV_HEADER,
     CurveRecord,
     RunConfig,
-    _held_width_curve,
+    _held_curve,
     nested_width_curve_from_greedy,
     run_experiment,
     synthetic_defaults,
@@ -66,7 +66,7 @@ class TestNestedWidthCurve:
         # greedy stops short of i_max (6 rows).
         cloud = SnapshotSet(derived_rng(41, rows).standard_normal((rows, cols)))
         gr = greedy(cloud, StoppingRule(max_dim=i_max))
-        own = _held_width_curve(cloud, gr.error_curve, i_max)
+        own = _held_curve([cloud.max_norm, *gr.error_curve], i_max)
         assert own == nested_width_curve_from_greedy(gr, cloud, i_max)
         assert len(own) == i_max + 1
 
@@ -210,6 +210,21 @@ class TestSyntheticRun:
         assert rows("prior_single") == [widths[min(i, 6)] for i in range(10)]
         # Factor dims 1, 2 and 6.
         assert rows("prior_multi") == [widths[d] for d in (0, 1, 2, 2, 2, 2, 6, 6, 6, 6)]
+
+    def test_one_i0_width_per_cloud(self):
+        # The i = 0 value of a curve is its cloud's largest norm, one number
+        # per cloud: the prior source cloud is the target cloud here.
+        cfg = synthetic_defaults(n_factors=11, reps=2, n_points=40, per_point=3, i_max=40, seed=0)
+        at_0 = {}
+        for r in run_experiment(cfg).records:
+            if r.i == 0:
+                at_0.setdefault((r.target, r.rep), {})[r.method] = r.value
+        m_values = set(at_0[("M", 0)].values()) | set(at_0[("M", 1)].values())
+        m_values |= {at_0[("bound", 0)]["prior_single"], at_0[("bound", 0)]["prior_multi"]}
+        assert len(m_values) == 1
+        for rep in range(cfg.reps):
+            post = at_0[("Mpost", rep)]
+            assert post["perf"] == post["point"] == post["post_single"]
 
     def test_records_sorted(self, result):
         keys = [(r.method, r.target, r.rep, r.i) for r in result.records]

@@ -632,7 +632,9 @@ class TestSamplePosterior:
             with pytest.raises(EmptySliceError, match=f"^manifold point 2: {failure}"):
                 sample_posterior(SnapshotSet(pts), w, prior, per_point=3, max_draws_per_point=30)
 
-    @pytest.mark.parametrize("n_samples, d_box", [(0, 1.0), (3, -1.0)])
+    @pytest.mark.parametrize(
+        "n_samples, d_box", [(0, 1.0), (3, -1.0), (3, np.nan), (3, np.inf), (3, -np.inf)]
+    )
     @pytest.mark.parametrize("tubes", [1, 2])
     def test_arguments_are_checked_before_any_slice(self, tubes, n_samples, d_box):
         # A bad sample count or d_box is an argument error even where the

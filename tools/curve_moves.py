@@ -10,7 +10,9 @@ i = 0 value of the row's own curve (method, rep, target) in BEFORE.  Where
 that value is infinite (``bound_dbar`` below k*), the curve's first finite
 value is the scale instead.  A scale of zero, or a curve with no finite value,
 makes its (method, target) ``nan``; an infinite value on one side only gives
-``inf``.  Exits 1 if the two files do not hold the same rows.
+``inf``.  Exits 1 if the two files do not hold the same rows, and 2, with one
+line on stderr, if a file cannot be read (a missing ``curves.csv`` or
+``manifest.json`` among them) or the arguments are not two paths.
 
 Given two run directories, the script compares their ``curves.csv`` and then
 prints the ``manifest.json`` scalars ``eps_prime``, ``eps_intrinsic``, ``beta``
@@ -78,6 +80,9 @@ def main(argv: list[str]) -> int:
     except ValueError as exc:
         print(f"curve_moves: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        print(f"curve_moves: cannot read {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
     print("method,target,rows,moved,worst_rel_move")
     for (method, target), (rows, moved, worst) in report.items():
         print(f"{method},{target},{rows},{moved},{worst:.2e}")
