@@ -229,31 +229,36 @@ def prior_contains(prior: PriorManifold, h) -> bool:
     return all(ellipsoid_contains(e, h) for e in prior.ellipsoids)
 
 
+def prefix_distances_sq(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Squared distance of each row of ``x`` (any leading shape) to the span
+    of every column prefix of the orthonormal ``basis``, dims 0..d, as
+    ``x.shape[:-1] + (d + 1,)``.
+
+    The squared distance at prefix length j is built as the exact residual at
+    the full basis (two passes) plus the squared coordinates beyond j;
+    subtracting cumulative squares from ``||v||^2`` instead would bottom out
+    at the cancellation level ``sqrt(eps_machine) * ||v||``, which matters
+    when genuine widths sit many orders below the vector norms.  Every
+    product is one ``np.matmul``, so stacked rows round as they would alone.
+    """
+    coords = x @ basis
+    resid = x - coords @ basis.T
+    resid -= (resid @ basis) @ basis.T  # second pass controls cancellation error
+    term_sq = np.einsum("...j,...j->...", resid, resid)
+    beyond = np.zeros(coords.shape[:-1] + (basis.shape[1] + 1,))
+    beyond[..., :-1] = np.cumsum(coords[..., ::-1] ** 2, axis=-1)[..., ::-1]
+    return term_sq[..., None] + beyond
+
+
 def prefix_widths(vectors: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Worst-case distance of row vectors to every basis-prefix span (dims 1..d).
 
     ``basis`` is an (N, d) orthonormal matrix whose column prefixes define the
-    nested spaces.  The squared residual at prefix length j is built as the
-    exact residual at the full basis plus the squared coordinates beyond j;
-    subtracting cumulative squares from ``||v||^2`` instead would bottom out at
-    the cancellation level ``sqrt(eps_machine) * ||v||``, which matters when
-    genuine widths sit many orders below the vector norms.
+    nested spaces; the distances are those of :func:`prefix_distances_sq`.
     """
     if basis.shape[1] == 0:
         return np.zeros(0)
-    coords = vectors @ basis
-    resid = vectors - coords @ basis.T
-    resid -= (resid @ basis) @ basis.T  # second pass controls cancellation error
-    term_sq = np.einsum("ij,ij->i", resid, resid)
-    c_sq = coords**2
-    beyond = np.hstack(
-        [
-            np.cumsum(c_sq[:, ::-1], axis=1)[:, ::-1][:, 1:],
-            np.zeros((vectors.shape[0], 1)),
-        ]
-    )
-    per_dim_sq = term_sq[:, None] + beyond
-    return np.sqrt(per_dim_sq.max(axis=0))
+    return np.sqrt(prefix_distances_sq(vectors, basis)[:, 1:].max(axis=0))
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,16 @@ choice inside a cluster of equal sigma matters, and pi comes from their squared
 norms), and one row of uniforms.  A prior of one or more ellipsoids is
 sampled by rejection: draws come from a reference factor's slice, and those
 outside any other factor are dropped (a single tube has no other factor, so
-every draw is kept).  One rejection loop does all sampling:
-``sample_posterior`` runs it over a cloud of manifold points, and
-``sample_slice`` and ``sample_slice_multi`` are its one-point calls.  Point i
-draws from the derived stream (seed, i) alone, and every product, observation
-to deviation, is taken per point (stacked ``np.matmul``), so its draws are
-bitwise those of a one-point call; point estimates take the same path.
+every draw is kept).  The factors of a nested prior are tested together, off
+one coordinate product on the widest tested basis and one exact residual
+(``geometry.prefix_distances_sq``); any other factor by its own residual.
+One rejection loop does all sampling: ``sample_posterior`` runs it over a
+cloud of manifold points, and ``sample_slice`` and ``sample_slice_multi`` are
+its one-point calls.  Point i draws from the derived stream (seed, i) alone,
+through one Philox generator keyed per point (``rng.Streams``), and every
+product, observation to deviation, is taken per point (stacked
+``np.matmul``), so its draws are bitwise those of a one-point call; point
+estimates take the same path.
 """
 
 from __future__ import annotations
@@ -44,8 +48,9 @@ from .geometry import (
     as_vector,
     distances,
     lies_in,
+    prefix_distances_sq,
 )
-from .rng import as_rng, derived_rng
+from .rng import Streams, as_rng
 
 #: Half-width of the uniform box for the unobserved prior coefficients d_j.
 DEFAULT_D_BOX = 10.0
@@ -302,7 +307,7 @@ def sample_slice(
     b = slice_.bases
     samples, _, _ = _rejection_sample(
         slice_.w_star_coeffs[None, :], PriorManifold.single(b.v_subspace, slice_.width), 1,
-        n_samples, None, pi_dist, d_box, [as_rng(rng)], b, name_points=False,
+        n_samples, None, pi_dist, d_box, Streams(as_rng(rng)), b, name_points=False,
     )
     return SnapshotSet(samples)
 
@@ -332,6 +337,35 @@ def _draw_limit(n_samples: int, max_draws: int | None) -> int:
     return max_draws
 
 
+def _within_tubes(factors: list[DegenerateEllipsoid]):
+    """The acceptance test of the rejection loop: a function of draws
+    (points, chunk, N) that is True where a draw lies within every one of
+    ``factors``, up to its width plus ``TUBE_SLACK``.
+
+    The factors whose basis is bitwise a leading column block of the widest
+    one's (every factor of :func:`~partialrom.worlds.nested_prior`) share one
+    :func:`prefix_distances_sq` pass on that basis; any other factor takes its
+    own :func:`distances`.
+    """
+    widest = max((e.subspace.basis for e in factors), key=lambda b: b.shape[1], default=None)
+    nested, rest = [], []
+    for e in factors:
+        is_prefix = np.array_equal(e.subspace.basis, widest[:, : e.subspace.dim])
+        (nested if is_prefix else rest).append(e)
+    dims = [e.subspace.dim for e in nested]
+    limits = np.array([e.width + TUBE_SLACK for e in nested])
+
+    def inside(batch: np.ndarray) -> np.ndarray:
+        ok = np.ones(batch.shape[:-1], dtype=bool)
+        if dims:
+            ok &= (np.sqrt(prefix_distances_sq(batch, widest)[..., dims]) <= limits).all(axis=-1)
+        for e in rest:
+            ok &= distances(batch, e.subspace.basis) <= e.width + TUBE_SLACK
+        return ok
+
+    return inside
+
+
 def _rejection_sample(
     a_star: np.ndarray,
     prior: PriorManifold,
@@ -340,7 +374,7 @@ def _rejection_sample(
     max_draws: int | None,
     pi_dist: PiDistribution | None,
     d_box: float,
-    rngs: list[np.random.Generator],
+    streams: Streams,
     bases: SuitableBases,
     name_points: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -349,10 +383,12 @@ def _rejection_sample(
 
     ``n_samples``, ``max_draws`` (see :func:`_draw_limit`) and ``d_box``
     (finite, >= 0) are checked before any slice is looked at.  Point i draws
-    from ``rngs[i]`` in the reference factor ``j_star``'s slice: ``n_samples``
-    first, then what it still lacks, until it holds ``n_samples`` or has drawn
-    ``max_draws``.  A draw is kept iff it lies within every other factor's
-    width plus ``TUBE_SLACK``, so a single tube keeps its first round whole.
+    from ``streams.open(i)`` in the reference factor ``j_star``'s slice:
+    ``n_samples`` first, then what it still lacks, until it holds
+    ``n_samples`` or has drawn ``max_draws``; with other factors, each point's
+    stream is held after every draw for its next round.  A draw is kept iff it
+    lies within every other factor's width plus ``TUBE_SLACK``
+    (:func:`_within_tubes`), so a single tube keeps its first round whole.
     Points go in blocks of ``_BLOCK_POINTS``; in each round the points of a
     block that draw the same number are drawn together into a scratch array,
     with every product taken per point, and each point's kept rows are copied
@@ -370,6 +406,7 @@ def _rejection_sample(
         raise ContractViolation(f"d_box must be >= 0 and finite, got {d_box}")
     ref = prior.factor(j_star)
     others = [e for i, e in enumerate(prior.ellipsoids) if i != j_star - 1]
+    inside = _within_tubes(others)
     n_points, ambient = a_star.shape[0], bases.ambient_dim
     budgets = _deviation_budgets(a_star, ref.width, bases)
     empty = np.flatnonzero(budgets < 0.0)
@@ -386,13 +423,13 @@ def _rejection_sample(
                 pts = short[chunks == chunk]
                 draws = _SliceDraws(bases, pts.size * chunk, pi_dist, d_box)
                 for k, i in enumerate(pts):
-                    draws.fill(slice(k * chunk, (k + 1) * chunk), rngs[i])
+                    draws.fill(slice(k * chunk, (k + 1) * chunk), streams.open(i))
+                    if others:  # the point may draw again
+                        streams.hold(i)
                 batch = np.empty((pts.size, chunk, ambient))
                 batch[:] = centers[pts - start]
                 draws.add_to(batch.reshape(-1, ambient), np.repeat(budgets[pts], chunk), pts.size)
-                ok = np.ones((pts.size, chunk), dtype=bool)
-                for e in others:
-                    ok &= distances(batch, e.subspace.basis) <= e.width + TUBE_SLACK
+                ok = inside(batch)
                 # Each point's kept rows, in draw order, go after those it holds.
                 hits = ok.sum(axis=1)
                 slots = kept[pts, None] + np.cumsum(ok, axis=1) - 1
@@ -451,7 +488,7 @@ def sample_slice_multi(
     _check_bases(bases, prior.factor(j_star))
     samples, kept, drawn = _rejection_sample(
         bases.w_star_coefficients(obs.values)[None, :], prior, j_star, n_samples, max_draws,
-        pi_dist, d_box, [as_rng(rng)], bases, name_points=False,
+        pi_dist, d_box, Streams(as_rng(rng)), bases, name_points=False,
     )
     return MultiSliceResult(
         samples=SnapshotSet(samples),
@@ -476,6 +513,9 @@ def sample_posterior(
 
     Point i draws from the derived stream (seed, i) alone, so its random
     numbers do not depend on the other points or on the iteration order.
+    The streams share one Philox generator, keyed per point from
+    :func:`~partialrom.rng.point_keys`; ``seed`` (a non-negative integer) is
+    checked before anything else.
 
     One rejection loop runs over all points, in blocks, whatever the number of
     tubes (the reference factor defaults to the last, tightest one; a single
@@ -488,16 +528,16 @@ def sample_posterior(
     :class:`PartialSampleWarning` per call, and :class:`EmptySliceError` names
     the first point whose slice is empty or that kept no draw.
     """
+    streams = Streams.per_point(seed, len(manifold_samples))
     if isinstance(prior, DegenerateEllipsoid):
         prior = PriorManifold((prior,))
     if j_star is None:
         j_star = prior.n_factors
     bases = compute_suitable_bases(prior.factor(j_star).subspace, w_subspace)
     a_star = bases.w_star_coefficients(observe_cloud(manifold_samples, w_subspace))
-    rngs = [derived_rng(seed, i) for i in range(len(manifold_samples))]
     samples, _, _ = _rejection_sample(
         a_star, prior, j_star, per_point, max_draws_per_point,
-        pi_dist, d_box, rngs, bases, name_points=True,
+        pi_dist, d_box, streams, bases, name_points=True,
     )
     return SnapshotSet(samples)
 

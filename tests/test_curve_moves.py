@@ -93,3 +93,29 @@ def test_missing_file_exits_2_with_one_line(tmp_path, capsys, missing):
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("curve_moves: cannot read ")
     assert str(tmp_path / "b") in captured.err
+
+
+@pytest.mark.parametrize(
+    "broken, text",
+    [
+        ("manifest.json", "{"),
+        ("manifest.json", "[1, 2]"),
+        ("curves.csv", HEADER + "post,0,1.5,M,2.0\n"),
+        ("curves.csv", "method,rep,i,value\npost,0,0,2.0\n"),
+        ("curves.csv", HEADER + "post,0,0,M\n"),
+        ("curves.csv", HEADER + "post,0,0,M,fast\n"),
+    ],
+    ids=["manifest-json", "manifest-list", "non-integer-i", "no-target", "short-row", "text-value"],
+)
+def test_malformed_file_exits_2_with_one_line(tmp_path, capsys, broken, text):
+    for name in ("a", "b"):
+        run = tmp_path / name
+        run.mkdir()
+        _write(run / "curves.csv", ["post,0,0,M,2.0"])
+        (run / "manifest.json").write_text("{}")
+    (tmp_path / "b" / broken).write_text(text)
+    assert curve_moves.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"curve_moves: cannot parse {tmp_path / 'b' / broken}: ")

@@ -19,9 +19,11 @@ from partialrom.geometry import (
     SnapshotSet,
     Subspace,
     dist,
+    distances,
     lies_in,
     orthonormalize,
 )
+from partialrom import sampling
 from partialrom.rng import derived_rng
 from partialrom.sampling import (
     MIXTURE_SCALE,
@@ -598,6 +600,61 @@ class TestSamplePosterior:
         obs = np.repeat(observe_cloud(cloud, w), 6, axis=0)
         assert_allclose(observe_cloud(batch, w), obs, atol=1e-10)
 
+    @pytest.mark.parametrize("case", ["j_star=1", "j_star=2 of 4", "nested plus other tube"])
+    def test_nested_and_other_tubes_in_one_call(self, case, monkeypatch):
+        # Nested tubes around V's column prefixes of dimension 1, 3, 5 and 10,
+        # the reference factor first, in the middle, or last next to a tube
+        # around span(v_1, x) that is no prefix of V: the prefix rule (one
+        # pass on the widest tested basis) and the per-tube rule both decide.
+        rng = derived_rng(2029)
+        w, v = prescribed_pair(rng, m=6, n=10, p=1, q=5, r=12)
+        x = rng.standard_normal(w.ambient_dim)
+        widths = {1: 0.9, 3: 0.8, 5: 0.6, 10: 0.2}
+        factors = [
+            DegenerateEllipsoid(Subspace(v.basis[:, :d]), width) for d, width in widths.items()
+        ]
+        j_star = {"j_star=1": 1, "j_star=2 of 4": 2, "nested plus other tube": 4}[case]
+        if case == "nested plus other tube":
+            other = orthonormalize([v.basis[:, 0], x])
+            factors.insert(2, DegenerateEllipsoid(other, 0.8))
+            j_star += 1
+        prior = PriorManifold(tuple(factors))
+        off = rng.standard_normal((40, w.ambient_dim))
+        off -= (off @ v.basis) @ v.basis.T
+        off *= (rng.uniform(0.0, 0.15, 40) / np.linalg.norm(off, axis=1))[:, None]
+        cloud = SnapshotSet(np.outer(rng.standard_normal(40), v.basis[:, 0]) + off)
+
+        calls = _per_point_calls(w, prior, cloud, j_star, None)
+        rules = {"prefix": 0, "distances": 0}
+        for name, rule in (("prefix", "prefix_distances_sq"), ("distances", "distances")):
+            def spy(*args, _rule=getattr(sampling, rule), _name=name):
+                rules[_name] += 1
+                return _rule(*args)
+            monkeypatch.setattr(sampling, rule, spy)
+        batch = sample_posterior(cloud, w, prior, 6, PiDistribution.mixture(), 0.5, seed=77,
+                                 j_star=j_star)
+        assert np.array_equal(batch.vectors, np.vstack([c.samples.vectors for c in calls]))
+        assert rules["prefix"] > 0 and (rules["distances"] > 0) == (case == "nested plus other tube")
+        assert all(c.complete for c in calls) and sum(c.n_draws for c in calls) > len(batch)
+        for e in prior.ellipsoids:
+            assert distances(batch.vectors, e.subspace.basis).max() <= e.width + TUBE_SLACK
+
+    def test_streams_are_keyed_not_seeded_per_point(self, monkeypatch):
+        # One Generator and O(1) SeedSequence hashes per call, however many
+        # points and rounds, with the draws of derived_rng(seed, i).
+        w, prior, cloud, j_star, _ = _multi_case("r=0")
+        counts = {"SeedSequence": 0, "Generator": 0}
+        for name in counts:
+            def spy(*args, _make=getattr(np.random, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _make(*args, **kwargs)
+            monkeypatch.setattr(np.random, name, spy)
+        batch = sample_posterior(cloud, w, prior, 6, PiDistribution.mixture(), 0.5, seed=77)
+        assert counts == {"SeedSequence": 1, "Generator": 1}
+        monkeypatch.undo()
+        calls = _per_point_calls(w, prior, cloud, j_star, None)
+        assert np.array_equal(batch.vectors, np.vstack([c.samples.vectors for c in calls]))
+
     def test_short_points_give_one_warning_per_call(self):
         w, prior, cloud, j_star, max_draws = _multi_case("tight budget")
         short = [i for i, c in enumerate(_per_point_calls(w, prior, cloud, j_star, max_draws))
@@ -633,12 +690,15 @@ class TestSamplePosterior:
                 sample_posterior(SnapshotSet(pts), w, prior, per_point=3, max_draws_per_point=30)
 
     @pytest.mark.parametrize(
-        "n_samples, d_box", [(0, 1.0), (3, -1.0), (3, np.nan), (3, np.inf), (3, -np.inf)]
+        "n_samples, d_box, seed",
+        [(0, 1.0, 0), (3, -1.0, 0), (3, np.nan, 0), (3, np.inf, 0), (3, -np.inf, 0),
+         (3, 1.0, -1), (3, 1.0, 1.5)],
+        ids=["0-1.0", "3--1.0", "3-nan", "3-inf", "3--inf", "seed=-1", "seed=1.5"],
     )
     @pytest.mark.parametrize("tubes", [1, 2])
-    def test_arguments_are_checked_before_any_slice(self, tubes, n_samples, d_box):
-        # A bad sample count or d_box is an argument error even where the
-        # first slice is empty, at every entry point of the rejection loop.
+    def test_arguments_are_checked_before_any_slice(self, tubes, n_samples, d_box, seed):
+        # A bad sample count, d_box or seed is an argument error even where
+        # the first slice is empty, at every entry point of the rejection loop.
         w, v = prescribed_pair(derived_rng(3107), m=6, n=3, p=3, q=3, r=6)
         inner = Subspace(np.ascontiguousarray(v.basis[:, :1]))
         factors = (DegenerateEllipsoid(inner, 0.1), DegenerateEllipsoid(v, 0.06))
@@ -649,12 +709,18 @@ class TestSamplePosterior:
         sl = build_slice(obs, prior.factor(tubes), bases)
         assert sl.is_empty
         calls = [
-            lambda: sample_posterior(SnapshotSet(h[None, :]), w, prior, n_samples, d_box=d_box),
-            lambda: sample_slice_multi(obs, prior, tubes, n_samples, d_box=d_box, bases=bases),
-            lambda: sample_slice(sl, n_samples, d_box=d_box),
+            lambda: sample_posterior(
+                SnapshotSet(h[None, :]), w, prior, n_samples, d_box=d_box, seed=seed
+            ),
+            lambda: sample_slice_multi(
+                obs, prior, tubes, n_samples, d_box=d_box, rng=seed, bases=bases
+            ),
+            lambda: sample_slice(sl, n_samples, d_box=d_box, rng=seed),
         ]
         for call in calls:
-            with pytest.raises(ContractViolation, match="^(n_samples|d_box) must be >= "):
+            with pytest.raises(
+                ContractViolation, match="^(n_samples|d_box) must be >= |^seed must be a non-neg"
+            ):
                 call()
 
     def test_multi_prior_dispatch(self, rng):

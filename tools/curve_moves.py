@@ -12,7 +12,10 @@ value is the scale instead.  A scale of zero, or a curve with no finite value,
 makes its (method, target) ``nan``; an infinite value on one side only gives
 ``inf``.  Exits 1 if the two files do not hold the same rows, and 2, with one
 line on stderr, if a file cannot be read (a missing ``curves.csv`` or
-``manifest.json`` among them) or the arguments are not two paths.
+``manifest.json`` among them) or parsed (a ``curves.csv`` without one of the
+columns method, rep, i, target, value, or with a non-integer ``i`` or a
+non-numeric value; a ``manifest.json`` that is not a JSON object), or if the
+arguments are not two paths.
 
 Given two run directories, the script compares their ``curves.csv`` and then
 prints the ``manifest.json`` scalars ``eps_prime``, ``eps_intrinsic``, ``beta``
@@ -28,15 +31,31 @@ import sys
 from pathlib import Path
 
 MANIFEST_SCALARS = ("eps_prime", "eps_intrinsic", "beta", "n_prior")
+COLUMNS = ("method", "rep", "i", "target", "value")
 
 
-def read_curves(path: str) -> dict[tuple[str, str, int, str], str]:
+class MalformedFile(Exception):
+    """A file that was read but does not parse as what it should hold."""
+
+    def __init__(self, path, detail):
+        super().__init__(f"cannot parse {path}: {detail}")
+
+
+def read_curves(path) -> dict[tuple[str, str, int, str], str]:
     """Value text of every row, keyed by (method, rep, i, target)."""
     with open(path, newline="") as f:
-        return {
-            (row["method"], row["rep"], int(row["i"]), row["target"]): row["value"]
-            for row in csv.DictReader(f)
-        }
+        reader = csv.DictReader(f)
+        try:
+            missing = [name for name in COLUMNS if name not in (reader.fieldnames or ())]
+            if missing:
+                raise MalformedFile(path, f"no {', '.join(missing)} column")
+            rows = {}
+            for row in reader:
+                float(row["value"])  # a short row's missing fields are None
+                rows[(row["method"], row["rep"], int(row["i"]), row["target"])] = row["value"]
+            return rows
+        except (ValueError, TypeError, csv.Error) as exc:  # UnicodeDecodeError is a ValueError
+            raise MalformedFile(path, exc) from None
 
 
 def curve_moves(before: dict, after: dict) -> dict[tuple[str, str], tuple[int, int, float]]:
@@ -64,7 +83,13 @@ def curve_moves(before: dict, after: dict) -> dict[tuple[str, str], tuple[int, i
 
 def manifest_scalars(run_dir: Path) -> dict[str, str]:
     """The :data:`MANIFEST_SCALARS` of a run directory's manifest, as text."""
-    manifest = json.loads((run_dir / "manifest.json").read_text())
+    path = run_dir / "manifest.json"
+    try:
+        manifest = json.loads(path.read_text())
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise MalformedFile(path, exc) from None
+    if not isinstance(manifest, dict):
+        raise MalformedFile(path, "not a JSON object")
     return {key: str(manifest.get(key, "-")) for key in MANIFEST_SCALARS}
 
 
@@ -75,14 +100,19 @@ def main(argv: list[str]) -> int:
     runs = [Path(arg) for arg in argv]
     dirs = all(run.is_dir() for run in runs)
     try:
-        report = curve_moves(*(read_curves(run / "curves.csv" if dirs else run) for run in runs))
+        tables = [read_curves(run / "curves.csv" if dirs else run) for run in runs]
         scalars = [manifest_scalars(run) for run in runs] if dirs else []
-    except ValueError as exc:
-        print(f"curve_moves: {exc}", file=sys.stderr)
-        return 1
     except OSError as exc:
         print(f"curve_moves: cannot read {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
+    except MalformedFile as exc:
+        print(f"curve_moves: {exc}", file=sys.stderr)
+        return 2
+    try:
+        report = curve_moves(*tables)
+    except ValueError as exc:
+        print(f"curve_moves: {exc}", file=sys.stderr)
+        return 1
     print("method,target,rows,moved,worst_rel_move")
     for (method, target), (rows, moved, worst) in report.items():
         print(f"{method},{target},{rows},{moved},{worst:.2e}")
