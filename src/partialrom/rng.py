@@ -87,7 +87,8 @@ def point_keys(seed: int, count: int) -> np.ndarray:
 
 class Streams:
     """Random streams by point index, all drawn through one generator, so a
-    cloud of points costs one ``Generator`` and one ``SeedSequence`` hash.
+    cloud of points costs one ``Generator`` and one ``SeedSequence`` of the
+    seed, not one of each per point.
 
     ``Streams(gen)`` hands out the caller's ``gen`` for every point, as it
     stands (a one-point call).  ``Streams.per_point(seed, count)`` gives

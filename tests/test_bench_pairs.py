@@ -51,6 +51,7 @@ def test_summary_keeps_metrics_every_run_reports():
 
 
 def test_one_pair_and_a_zero_parent_value():
-    summary = bench_pairs.summarize([(_result(wall_s=0.0, cpu_s=2.0), _result(wall_s=0.1, cpu_s=1.0))])
+    pair = (_result(wall_s=0.0, cpu_s=2.0), _result(wall_s=0.1, cpu_s=1.0))
+    summary = bench_pairs.summarize([pair])
     assert math.isnan(summary["wall_s"]["ratios"][0])
     assert summary["cpu_s"]["ratios"] == [0.5] and summary["cpu_s"]["parent_iqr"] == 0.0

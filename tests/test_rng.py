@@ -84,8 +84,9 @@ def test_streams_resume_each_point_bitwise(seed):
         expected = [gen.standard_normal(7), gen.random(3), gen.standard_normal(5), gen.random(2)]
         assert all(np.array_equal(a, b) for a, b in zip([*first[i], *second[i]], expected))
     # A point opened without a hold starts its stream afresh.
-    assert np.array_equal(streams.open(1).standard_normal(4), derived_rng(seed, 1).standard_normal(4))
-    assert np.array_equal(streams.open(1).standard_normal(4), derived_rng(seed, 1).standard_normal(4))
+    start = derived_rng(seed, 1).standard_normal(4)
+    assert np.array_equal(streams.open(1).standard_normal(4), start)
+    assert np.array_equal(streams.open(1).standard_normal(4), start)
 
 
 def test_streams_of_a_generator_continue_it():
@@ -101,7 +102,8 @@ def test_streams_of_a_generator_continue_it():
 
 @pytest.mark.parametrize("seed", [-1, 1.5, "3", True, np.float64(2.0)])
 def test_bad_seeds_are_contract_violations(seed):
-    for call in (lambda: point_keys(seed, 3), lambda: derived_rng(seed), lambda: derived_seed(seed, 1)):
+    calls = (lambda: point_keys(seed, 3), lambda: derived_rng(seed), lambda: derived_seed(seed, 1))
+    for call in calls:
         with pytest.raises(ContractViolation, match="^seed must be a non-negative integer"):
             call()
 

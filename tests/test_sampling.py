@@ -634,14 +634,15 @@ class TestSamplePosterior:
         batch = sample_posterior(cloud, w, prior, 6, PiDistribution.mixture(), 0.5, seed=77,
                                  j_star=j_star)
         assert np.array_equal(batch.vectors, np.vstack([c.samples.vectors for c in calls]))
-        assert rules["prefix"] > 0 and (rules["distances"] > 0) == (case == "nested plus other tube")
+        assert rules["prefix"] > 0
+        assert (rules["distances"] > 0) == (case == "nested plus other tube")
         assert all(c.complete for c in calls) and sum(c.n_draws for c in calls) > len(batch)
         for e in prior.ellipsoids:
             assert distances(batch.vectors, e.subspace.basis).max() <= e.width + TUBE_SLACK
 
     def test_streams_are_keyed_not_seeded_per_point(self, monkeypatch):
-        # One Generator and O(1) SeedSequence hashes per call, however many
-        # points and rounds, with the draws of derived_rng(seed, i).
+        # One Generator and one SeedSequence of the seed per call, however
+        # many points and rounds, with the draws of derived_rng(seed, i).
         w, prior, cloud, j_star, _ = _multi_case("r=0")
         counts = {"SeedSequence": 0, "Generator": 0}
         for name in counts:
