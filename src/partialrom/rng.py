@@ -37,15 +37,16 @@ def derived_seed(seed: int, *path: int) -> int:
     return int(_seed_sequence(seed, path).generate_state(1, np.uint64)[0])
 
 
-def _checked_seed(seed) -> int:
+def _checked_seed(seed, name: str = "seed") -> int:
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ContractViolation(f"seed must be a non-negative integer, got {seed!r}")
+        raise ContractViolation(f"{name} must be a non-negative integer, got {seed!r}")
     return int(seed)
 
 
 def _seed_sequence(seed: int, path: tuple) -> np.random.SeedSequence:
     return np.random.SeedSequence(
-        entropy=_checked_seed(seed), spawn_key=tuple(int(p) for p in path)
+        entropy=_checked_seed(seed),
+        spawn_key=tuple(_checked_seed(p, f"stream path element {k}") for k, p in enumerate(path)),
     )
 
 

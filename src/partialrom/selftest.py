@@ -100,13 +100,18 @@ def _check_bounds(seed: int) -> bool:
 
 
 def _check_thermal(seed: int) -> bool:
+    # Each batched state against the band stiffness, which the interface
+    # condensation behind ``solve`` does not use.
     model = ThermalBlockModel(cells=6)
-    theta = (0.7, 1.3, 0.4, 2.0)
-    coords = model.solve(theta, flux=1.0)
-    nodal = model.from_ambient(coords)
-    rhs = 1.0 * (model.flux_left / theta[2] + model.flux_right / theta[3])
-    product = dsbmv(model.bandwidth, 1.0, model.stiffness_band(theta), nodal)
-    return np.allclose(product, rhs, atol=1e-10)
+    thetas = np.array([(0.7, 1.3, 0.4, 2.0), (2.5, 0.2, 1.1, 0.6), (1.0, 1.0, 1.0, 1.0)])
+    states = model.solve(thetas, flux=1.0)
+    for theta, coords in zip(thetas, states):
+        nodal = model.from_ambient(coords)
+        rhs = 1.0 * (model.flux_left / theta[2] + model.flux_right / theta[3])
+        product = dsbmv(model.bandwidth, 1.0, model.stiffness_band(theta), nodal)
+        if not np.allclose(product, rhs, atol=1e-10):
+            return False
+    return True
 
 
 def _check_synthetic(seed: int) -> bool:

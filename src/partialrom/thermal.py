@@ -15,9 +15,19 @@ With the nodes numbered row by row, every operator is banded with
 half-bandwidth ``cells + 2`` and is held only in LAPACK upper band form: one
 cell-order scatter assembles the four quadrant stiffness parts and the mass
 matrix as five bands.  The mass band is factored once, ``M = U^T U`` with U
-upper banded (``scipy.linalg.cholesky_banded``); a solve combines the four
-stiffness bands in O(N b) and hands the SPD result to LAPACK ``pbsv``, one
-call per state.
+upper banded (``scipy.linalg.cholesky_banded``).
+
+States are solved by exact static condensation onto the quadrant interface
+Gamma (the free nodes on the lines x = 1/2 and y = 1/2, ``2 cells`` of them).
+Each quadrant's interior couples only to itself and to Gamma, through its own
+part alone, so with ``K_q``, ``B_q``, ``C_q`` the interior, interior-Gamma
+and Gamma blocks of part q the interface operator is affine in theta,
+``S(theta) = sum_q theta_q S_q`` with ``S_q = C_q - B_q^T K_q^{-1} B_q``, and
+the interior values follow from the interface values by fixed linear maps.
+This set-up is derived once per model from ``stiffness_bands``; a state then
+costs one small SPD solve and one product, batched over rows of theta.
+``stiffness_band`` combines the full bands and stays the independent
+reference.
 
 States are exposed in *ambient coordinates*: a nodal vector ``h`` maps to
 ``U h`` (BLAS ``tbmv``) and back by a banded triangular solve (LAPACK
@@ -27,8 +37,10 @@ product used by every other module.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
-from scipy.linalg import blas, cholesky_banded, lapack
+from scipy.linalg import blas, cho_factor, cho_solve, cholesky_banded, lapack
 
 from .errors import ContractViolation
 from .geometry import as_vector
@@ -52,12 +64,30 @@ _M_LOCAL = (1.0 / 36.0) * np.array(
 )
 
 
-def _check_theta(theta) -> np.ndarray:
-    t = np.asarray(theta, dtype=float)
-    if t.shape != (4,):
-        raise ContractViolation(f"theta must have 4 entries, got shape {t.shape}")
-    if not np.all(np.isfinite(t)) or np.any(t <= 0.0):
-        raise ContractViolation(f"conductivities must be positive and finite, got {t}")
+#: Rows of theta condensed and solved together.  It bounds the memory of a
+#: batch (a (rows, 2 cells, 2 cells) interface stack, 4.7 MB at cells 24) and
+#: moves no result: every per-row step is elementwise or a stacked product.
+#: Blocks of 16-64 rows solve 10-25% faster per row, but a whole thermal run
+#: was faster at 256: freeing the larger stacks raises glibc's dynamic mmap
+#: threshold, and the later layers then take a tenth of the minor page faults.
+_BLOCK_ROWS = 256
+
+
+def _check_theta(theta, batch: bool = False) -> np.ndarray:
+    """``theta`` as floats, of shape (4,) or, with ``batch``, also (T, 4); every
+    entry finite and positive."""
+    try:
+        t = np.asarray(theta, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ContractViolation(f"theta must be an array of numbers: {exc}") from None
+    if t.shape[-1:] != (4,) or t.ndim > 1 + batch:
+        shapes = "(4,) or (T, 4)" if batch else "(4,)"
+        raise ContractViolation(f"theta must have shape {shapes}, got shape {t.shape}")
+    bad = np.flatnonzero(~np.all(np.isfinite(t) & (t > 0.0), axis=-1).reshape(-1))
+    if bad.size:
+        row = np.atleast_2d(t)[bad[0]]
+        where = f" (row {bad[0]})" if t.ndim == 2 else ""
+        raise ContractViolation(f"conductivities must be positive and finite, got {row}{where}")
     return t
 
 
@@ -67,6 +97,33 @@ def _combine(t: np.ndarray, parts) -> np.ndarray:
     for i in range(1, 4):
         out = out + t[i] * parts[i]
     return out
+
+
+def _band_block(ab: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Dense ``A[rows][:, cols]`` of the symmetric ``A`` held in upper band form ``ab``."""
+    b = ab.shape[0] - 1
+    r, c = rows[:, None], cols[None, :]
+    offset = np.abs(c - r)
+    inside = offset <= b
+    return np.where(inside, ab[np.where(inside, b - offset, 0), np.maximum(r, c)], 0.0)
+
+
+class _Condensation(NamedTuple):
+    """The stiffness condensed onto the interface Gamma (g nodes).
+
+    ``schur[q]`` is ``S_q``; ``loads`` holds ``flux_left`` and ``flux_right``
+    condensed onto Gamma.  A state with interface values u and load
+    coefficients a = flux (1/theta_3, 1/theta_4) is ``[u, a_j / theta_q] @
+    images``: row k < g of ``images`` is the ambient image of the interface
+    extension of node k (1 at the node, ``-K_q^{-1} B_q`` inside each
+    quadrant), and row g + 2 q + j that of ``K_q^{-1}`` applied to load j
+    on quadrant q's interior.
+    """
+
+    bands: tuple
+    schur: np.ndarray   # (4, g, g)
+    loads: np.ndarray   # (2, g)
+    images: np.ndarray  # (g + 8, N)
 
 
 class ThermalBlockModel:
@@ -118,6 +175,7 @@ class ThermalBlockModel:
         edge = np.stack([cx[:cells], cx[:cells] + 1], axis=1)
         np.add.at(flux, (np.where(left[:cells], 0, 1)[:, None], edge), 0.5 * h)
         self.flux_left, self.flux_right = flux
+        self._condensed: _Condensation | None = None
 
     @property
     def ambient_dim(self) -> int:
@@ -141,14 +199,54 @@ class ThermalBlockModel:
     def solve(self, theta, flux: float = 0.0) -> np.ndarray:
         """Solve the diffusion problem and return the state in ambient coordinates.
 
-        ``flux`` scales the conductivity-normalized bottom-edge load; ``A(theta)``
-        is SPD for the validated ``theta > 0``.
+        ``theta`` is one parameter of shape (4,), giving an (N,) state, or a
+        (T, 4) batch, giving (T, N) states.  ``flux`` scales the
+        conductivity-normalized bottom-edge load.  Every row is checked before
+        any arithmetic, and each row's interface operator ``S(theta)`` must be
+        SPD (``np.linalg.LinAlgError`` otherwise).  A row's state is bitwise
+        the same alone or anywhere in any batch.
         """
-        t = _check_theta(theta)
+        t = _check_theta(theta, batch=True)
         if not np.isfinite(flux):
             raise ContractViolation(f"flux must be finite, got {flux}")
-        rhs = flux * (self.flux_left / t[2] + self.flux_right / t[3])
-        _, nodal, info = lapack.dpbsv(_combine(t, self.stiffness_bands), rhs, overwrite_ab=1)
-        if info:
-            raise np.linalg.LinAlgError(f"LAPACK dpbsv failed with info={info}")
-        return self.to_ambient(nodal)
+        rows = np.atleast_2d(t)
+        cond = self._condensation()
+        out = np.empty((len(rows), self.ambient_dim))
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            block = rows[start : start + _BLOCK_ROWS]
+            schur = _combine(block.T[:, :, None, None], cond.schur)
+            np.linalg.cholesky(schur)  # LinAlgError unless every S(theta) is SPD
+            a = flux / block[:, 2:]
+            rhs = a[:, :1] * cond.loads[0] + a[:, 1:] * cond.loads[1]
+            interface = np.linalg.solve(schur, rhs[:, :, None])[:, :, 0]
+            coeffs = np.hstack([interface, (a[:, None, :] / block[:, :, None]).reshape(-1, 8)])
+            out[start : start + len(block)] = np.matmul(coeffs[:, None, :], cond.images)[:, 0]
+        return out if t.ndim == 2 else out[0]
+
+    def _condensation(self) -> _Condensation:
+        """The interface condensation of the current ``stiffness_bands``, built on first use."""
+        if self._condensed is not None and self._condensed.bands is self.stiffness_bands:
+            return self._condensed
+        half, n = self.cells // 2, self.ambient_dim
+        iy, ix = np.divmod(np.arange(n), self.cells + 1)
+        on_gamma = (ix == half) | (iy == half)
+        gamma = np.flatnonzero(on_gamma)
+        g = gamma.size
+        quad = np.where(iy > half, np.where(ix < half, 0, 1), np.where(ix < half, 2, 3))
+        flux = np.stack([self.flux_left, self.flux_right])
+        schur = np.empty((4, g, g))
+        loads = flux[:, gamma]
+        extension = np.zeros((n, g + 8))
+        extension[gamma, np.arange(g)] = 1.0
+        for q, ab in enumerate(self.stiffness_bands):
+            inner = np.flatnonzero(~on_gamma & (quad == q))
+            coupling = _band_block(ab, inner, gamma)
+            interior = cho_factor(_band_block(ab, inner, inner))
+            x = cho_solve(interior, np.hstack([coupling, flux[:, inner].T]))
+            schur[q] = _band_block(ab, gamma, gamma) - coupling.T @ x[:, :g]
+            loads = loads - x[:, g:].T @ coupling
+            extension[inner, :g] = -x[:, :g]
+            extension[inner, g + 2 * q : g + 2 * q + 2] = x[:, g:]
+        images = np.stack([self.to_ambient(col) for col in extension.T])
+        self._condensed = _Condensation(self.stiffness_bands, schur, loads, images)
+        return self._condensed

@@ -145,9 +145,9 @@ def build_thermal_world(
     """Solve the target and relaxed manifolds and run the prior greedy.
 
     The relaxed cloud is the relaxed grid plus every constrained-grid θ it
-    lacks, so each target state is also a relaxed state: ``model.solve`` runs
-    once per distinct θ (θ rounded to 12 decimals), and ``m_cloud`` takes its
-    rows from the relaxed states.
+    lacks, so each target state is also a relaxed state: one batched
+    ``model.solve`` call solves every distinct θ (θ rounded to 12 decimals)
+    once, and ``m_cloud`` takes its rows from the relaxed states.
     """
     if t_steps < 1:
         raise ContractViolation(f"t_steps must be >= 1, got {t_steps}")
@@ -167,7 +167,7 @@ def build_thermal_world(
         m_rows.append(row_of[key])
     all_relax = np.vstack([relax_thetas, extra]) if extra else relax_thetas
 
-    relax_states = np.vstack([model.solve(t, flux=flux) for t in all_relax])
+    relax_states = model.solve(all_relax, flux=flux)
     m_states = relax_states[m_rows]
     relax_cloud = SnapshotSet(relax_states)
     gr = greedy(relax_cloud, StoppingRule(max_dim=n_prior))

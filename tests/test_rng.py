@@ -111,3 +111,19 @@ def test_bad_seeds_are_contract_violations(seed):
 def test_numpy_integer_seeds_are_accepted():
     assert np.array_equal(point_keys(np.uint64(2**64 - 1), 4), point_keys(2**64 - 1, 4))
     assert derived_seed(np.int64(1234), 41) == derived_seed(1234, 41)
+
+
+@pytest.mark.parametrize("element", [-1, 1.5, "3", True, np.float64(2.0)])
+def test_bad_stream_path_elements_are_contract_violations(element):
+    # Each path element obeys the seed's rule: coercing with int() would draw
+    # stream 1 for 1.5 and for True, and -1 would end in numpy's ValueError.
+    calls = ((0, lambda: derived_rng(0, element)), (1, lambda: derived_seed(3, 2, element)))
+    for k, call in calls:
+        with pytest.raises(ContractViolation, match=f"^stream path element {k} must be a non-neg"):
+            call()
+
+
+def test_numpy_integer_stream_path_elements_are_accepted():
+    assert derived_seed(1234, np.int64(22), np.uint8(4)) == derived_seed(1234, 22, 4)
+    a = derived_rng(0, np.int32(1)).standard_normal(4)
+    assert np.array_equal(a, derived_rng(0, 1).standard_normal(4))

@@ -323,12 +323,82 @@ class TestBandedSolve:
 
     @pytest.mark.parametrize("cells", [2, 4, 24])
     def test_matches_dense_solve(self, cells):
+        # Every row of a batch against a dense solve of the full stiffness.
         model = ThermalBlockModel(cells)
         rng = np.random.default_rng(100 + cells)
-        for _ in range(5):
-            theta = np.exp(rng.uniform(np.log(0.1), np.log(10.0), 4))
-            flux = rng.uniform(0.5, 2.0)
+        thetas = _log_uniform_thetas(rng, 5)
+        flux = rng.uniform(0.5, 2.0)
+        states = model.solve(thetas, flux=flux)
+        assert states.shape == (5, model.ambient_dim)
+        for theta, got in zip(thetas, states):
             rhs = flux * (model.flux_left / theta[2] + model.flux_right / theta[3])
             ref = model.to_ambient(np.linalg.solve(dense_stiffness(cells, theta), rhs))
-            got = model.solve(theta, flux=flux)
             assert np.linalg.norm(got - ref) <= 1e-11 * np.linalg.norm(ref)
+
+
+def _log_uniform_thetas(rng, count):
+    return np.exp(rng.uniform(np.log(0.1), np.log(10.0), (count, 4)))
+
+
+class TestBatchedSolve:
+    @pytest.mark.parametrize("cells", [2, 6])
+    def test_batch_rows_are_bitwise_single_solves(self, cells):
+        # 600 rows span several blocks of thermal._BLOCK_ROWS; a row's state
+        # must not depend on its batch, its position or the block it falls in.
+        model = ThermalBlockModel(cells)
+        thetas = _log_uniform_thetas(np.random.default_rng(cells), 600)
+        assert len(thetas) > thermal._BLOCK_ROWS
+        states = model.solve(thetas, flux=1.3)
+        assert states.shape == (600, model.ambient_dim)
+        for k in (0, 1, thermal._BLOCK_ROWS - 1, thermal._BLOCK_ROWS, 599):
+            single = model.solve(thetas[k], flux=1.3)
+            assert single.shape == (model.ambient_dim,)
+            assert np.array_equal(single, states[k])
+        order = np.random.default_rng(1).permutation(600)
+        assert np.array_equal(model.solve(thetas[order], flux=1.3), states[order])
+        assert np.array_equal(model.solve(thetas[7:11], flux=1.3), states[7:11])
+        assert model.solve(thetas[:0], flux=1.3).shape == (0, model.ambient_dim)
+
+    @pytest.mark.parametrize(
+        "bad", [0.0, -1.0, np.nan, np.inf], ids=["zero", "negative", "nan", "inf"]
+    )
+    @pytest.mark.parametrize("row", [0, 5, 9])
+    def test_bad_row_rejected_before_arithmetic(self, bad, row):
+        model = ThermalBlockModel(2)
+        thetas = np.ones((10, 4))
+        thetas[row, 1 + row % 3] = bad
+        with pytest.raises(ContractViolation, match=f"row {row}"):
+            model.solve(thetas, flux=1.0)
+        assert model._condensed is None  # nothing was set up or solved
+
+    @pytest.mark.parametrize(
+        "thetas",
+        [[[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0]], np.ones((3, 5)), np.ones((2, 2, 4)), np.ones(3)],
+        ids=["ragged", "five-columns", "three-dims", "three-entries"],
+    )
+    def test_bad_shapes_rejected(self, thetas):
+        model = ThermalBlockModel(2)
+        with pytest.raises(ContractViolation, match="theta"):
+            model.solve(thetas, flux=1.0)
+        assert model._condensed is None
+
+    @pytest.mark.parametrize("flux", [np.nan, np.inf])
+    def test_non_finite_flux_rejected_for_a_batch(self, flux):
+        model = ThermalBlockModel(2)
+        with pytest.raises(ContractViolation, match="flux"):
+            model.solve(np.ones((3, 4)), flux=flux)
+        assert model._condensed is None
+
+    def test_non_spd_interface_operator_raises_linalg_error(self):
+        # Interior blocks stay SPD, but a negative interface diagonal makes
+        # S(theta) indefinite for every theta: the per-row check must see it.
+        model = ThermalBlockModel(4)
+        model.solve(np.ones(4), flux=1.0)
+        bands = tuple(part.copy() for part in model.stiffness_bands)
+        iy, ix = np.divmod(np.arange(model.ambient_dim), 5)
+        gamma = (ix == 2) | (iy == 2)
+        for part in bands:
+            part[model.bandwidth, gamma] -= 10.0
+        model.stiffness_bands = bands
+        with pytest.raises(np.linalg.LinAlgError):
+            model.solve(np.ones((3, 4)), flux=1.0)

@@ -158,13 +158,14 @@ class TestThermalWorld:
 
     def test_solves_each_distinct_theta_once(self):
         # t_steps=2 on a 2-per-axis relaxed grid: 16 relaxed θ plus the 5
-        # constrained θ it lacks.  The target states are rows of those solves.
+        # constrained θ it lacks, counted as θ rows across solve calls.  The
+        # target states are rows of those solves.
         model = ThermalBlockModel(4)
         solve = model.solve
         calls = []
 
         def counted(theta, **kwargs):
-            calls.append(tuple(theta))
+            calls.extend(map(tuple, np.atleast_2d(theta)))
             return solve(theta, **kwargs)
 
         model.solve = counted
