@@ -8,7 +8,6 @@ smoke tests — the full guarantees live in the test suite.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.blas import dsbmv
 
 from .bases import compute_suitable_bases, decompose
 from .bounds import INF, posterior_width_bounds, width_degenerate_ellipsoid
@@ -18,7 +17,7 @@ from .geometry import DegenerateEllipsoid, SnapshotSet, Subspace
 from .greedy import StoppingRule, greedy
 from .rng import derived_rng
 from .sampling import PiDistribution, build_slice, observe, sample_slice
-from .thermal import ThermalBlockModel
+from .thermal import ThermalBlockModel, _band_block
 from .worlds import build_synthetic_world, random_subspace
 
 
@@ -100,15 +99,16 @@ def _check_bounds(seed: int) -> bool:
 
 
 def _check_thermal(seed: int) -> bool:
-    # Each batched state against the band stiffness, which the interface
-    # condensation behind ``solve`` does not use.
+    # Each batched state against the band stiffness, expanded to a dense
+    # matrix, which the interface condensation behind ``solve`` does not use.
     model = ThermalBlockModel(cells=6)
+    nodes = np.arange(model.ambient_dim)
     thetas = np.array([(0.7, 1.3, 0.4, 2.0), (2.5, 0.2, 1.1, 0.6), (1.0, 1.0, 1.0, 1.0)])
     states = model.solve(thetas, flux=1.0)
     for theta, coords in zip(thetas, states):
         nodal = model.from_ambient(coords)
         rhs = 1.0 * (model.flux_left / theta[2] + model.flux_right / theta[3])
-        product = dsbmv(model.bandwidth, 1.0, model.stiffness_band(theta), nodal)
+        product = _band_block(model.stiffness_band(theta), nodes, nodes) @ nodal
         if not np.allclose(product, rhs, atol=1e-10):
             return False
     return True

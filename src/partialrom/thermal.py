@@ -11,11 +11,13 @@ that edge sees conductivity theta_3 and the right half theta_4, giving the
 load ``c (theta_3^{-1} g_left + theta_4^{-1} g_right)`` for precomputed
 edge-mass vectors.
 
-With the nodes numbered row by row, every operator is banded with
+With the nodes numbered row by row, the stiffness is banded with
 half-bandwidth ``cells + 2`` and is held only in LAPACK upper band form: one
-cell-order scatter assembles the four quadrant stiffness parts and the mass
-matrix as five bands.  The mass band is factored once, ``M = U^T U`` with U
-upper banded (``scipy.linalg.cholesky_banded``).
+cell-order scatter assembles the four quadrant parts as four bands.  The Q1
+mass is the tensor product of two 1-D P1 masses, ``M = M_y (x) M_x`` (M_y
+without the Dirichlet top row of nodes), so its upper Cholesky factor is
+``U = U_y (x) U_x``, the two small bidiagonal factors of ``M_y = U_y^T U_y``
+and ``M_x = U_x^T U_x``.
 
 States are solved by exact static condensation onto the quadrant interface
 Gamma (the free nodes on the lines x = 1/2 and y = 1/2, ``2 cells`` of them).
@@ -29,23 +31,23 @@ costs one small SPD solve and one product, batched over rows of theta.
 ``stiffness_band`` combines the full bands and stays the independent
 reference.
 
-States are exposed in *ambient coordinates*: a nodal vector ``h`` maps to
-``U h`` (BLAS ``tbmv``) and back by a banded triangular solve (LAPACK
-``tbtrs``), which turns the finite-element L2 inner product into the plain dot
-product used by every other module.
+States are exposed in *ambient coordinates*: a nodal vector ``h``, read row
+by row as a (cells, cells + 1) grid H, maps to ``U h = U_y H U_x^T`` and back
+by two triangular solves, which turns the finite-element L2 inner product into
+the plain dot product used by every other module.
 """
 
 from __future__ import annotations
 
+import numbers
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import blas, cho_factor, cho_solve, cholesky_banded, lapack
 
 from .errors import ContractViolation
 from .geometry import as_vector
 
-# Local Q1 matrices on a square cell, node order SW, SE, NE, NW.
+# Local Q1 stiffness on a square cell, node order SW, SE, NE, NW.
 _K_LOCAL = (1.0 / 6.0) * np.array(
     [
         [4.0, -1.0, -2.0, -1.0],
@@ -54,22 +56,15 @@ _K_LOCAL = (1.0 / 6.0) * np.array(
         [-1.0, -2.0, -1.0, 4.0],
     ]
 )
-_M_LOCAL = (1.0 / 36.0) * np.array(
-    [
-        [4.0, 2.0, 1.0, 2.0],
-        [2.0, 4.0, 2.0, 1.0],
-        [1.0, 2.0, 4.0, 2.0],
-        [2.0, 1.0, 2.0, 4.0],
-    ]
-)
 
 
 #: Rows of theta condensed and solved together.  It bounds the memory of a
 #: batch (a (rows, 2 cells, 2 cells) interface stack, 4.7 MB at cells 24) and
 #: moves no result: every per-row step is elementwise or a stacked product.
-#: Blocks of 16-64 rows solve 10-25% faster per row, but a whole thermal run
-#: was faster at 256: freeing the larger stacks raises glibc's dynamic mmap
-#: threshold, and the later layers then take a tenth of the minor page faults.
+#: Blocks of 32-64 rows solve about 10% faster, but a whole thermal operation
+#: is faster at 256: freeing the larger stacks raises glibc's dynamic mmap
+#: threshold, and the later layers then take about a tenth of the minor page
+#: faults (1.3k against 12.5k per operation at cells 24).
 _BLOCK_ROWS = 256
 
 
@@ -89,14 +84,6 @@ def _check_theta(theta, batch: bool = False) -> np.ndarray:
         where = f" (row {bad[0]})" if t.ndim == 2 else ""
         raise ContractViolation(f"conductivities must be positive and finite, got {row}{where}")
     return t
-
-
-def _combine(t: np.ndarray, parts) -> np.ndarray:
-    """``sum_i t_i parts_i``, summed in quadrant order."""
-    out = t[0] * parts[0]
-    for i in range(1, 4):
-        out = out + t[i] * parts[i]
-    return out
 
 
 def _band_block(ab: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -127,17 +114,19 @@ class _Condensation(NamedTuple):
 
 
 class ThermalBlockModel:
-    """Discretized thermal block, held in LAPACK upper band form only.
+    """Discretized thermal block; no dense (N, N) array is held.
 
-    ``stiffness_bands`` holds the four quadrant stiffness parts and
-    ``mass_factor`` the upper Cholesky factor U of the mass (``M = U^T U``),
-    both at half-bandwidth ``bandwidth``; no dense (N, N) array is held.
+    ``stiffness_bands`` holds the four quadrant stiffness parts in LAPACK
+    upper band form at half-bandwidth ``bandwidth``, and ``mass_factors`` the
+    1-D upper Cholesky factors ``(U_y, U_x)``, (cells, cells) and
+    (cells + 1, cells + 1), of the mass ``M = U^T U`` with ``U = U_y (x) U_x``.
     """
 
     def __init__(self, cells: int = 24):
-        if cells < 2 or cells % 2:
-            raise ContractViolation(f"cells must be an even integer >= 2, got {cells}")
-        self.cells = cells
+        integral = isinstance(cells, numbers.Integral) and not isinstance(cells, bool)
+        if not integral or cells < 2 or cells % 2:
+            raise ContractViolation(f"cells must be an even integer >= 2, got {cells!r}")
+        self.cells = cells = int(cells)
         n_side = cells + 1
         h = 1.0 / cells
 
@@ -149,25 +138,30 @@ class ThermalBlockModel:
         top = (cy + 0.5) / cells >= 0.5
         quad = np.where(top, np.where(left, 0, 1), np.where(left, 2, 3))
 
-        # Scatter the local matrices in cell order, so every entry sums its
-        # cell contributions in a fixed order: the stiffness into its
-        # quadrant's part, the mass into part 4.  The top edge is eliminated
-        # (homogeneous Dirichlet): the free nodes are the rows iy < cells, a
-        # prefix of the node numbering, so entries that touch a top-edge node
-        # are dropped.  A cell couples nodes at most n_side + 1 apart (SW to
-        # NE); upper entries (r, c), c >= r, go straight to band form at
-        # [b - (c - r), c].
+        # Scatter the local stiffness in cell order into each cell's quadrant
+        # part, so every entry sums its cell contributions in a fixed order.
+        # The top edge is eliminated (homogeneous Dirichlet): the free nodes
+        # are the rows iy < cells, a prefix of the node numbering, so entries
+        # that touch a top-edge node are dropped.  A cell couples nodes at
+        # most n_side + 1 apart (SW to NE); upper entries (r, c), c >= r, go
+        # straight to band form at [b - (c - r), c].
         n_free = cells * n_side
         self.bandwidth = b = n_side + 1
         rows = np.repeat(loc, 4, axis=1)
         cols = np.tile(loc, (1, 4))
         up = (cols < n_free) & (cols >= rows)
-        part = np.stack([np.broadcast_to(quad[:, None], up.shape), np.full(up.shape, 4)])
-        local = np.broadcast_to(np.stack([_K_LOCAL, h * h * _M_LOCAL]).reshape(2, 1, 16), part.shape)
-        bands = np.zeros((5, b + 1, n_free))
-        np.add.at(bands, (part[:, up], (b - cols + rows)[up], cols[up]), local[:, up])
-        self.stiffness_bands = tuple(bands[:4])
-        self.mass_factor = cholesky_banded(bands[4])
+        part = np.broadcast_to(quad[:, None], up.shape)
+        local = np.broadcast_to(_K_LOCAL.reshape(1, 16), up.shape)
+        bands = np.zeros((4, b + 1, n_free))
+        np.add.at(bands, (part[up], (b - cols + rows)[up], cols[up]), local[up])
+        self.stiffness_bands = tuple(bands)
+
+        # The 1-D P1 mass, (h/6) [2 1; 1 2] per segment, on the x nodes; the
+        # y factor drops the Dirichlet top node.
+        diag = np.full(n_side, 4.0)
+        diag[[0, -1]] = 2.0
+        mass = (h / 6.0) * (np.diag(diag) + np.eye(n_side, k=1) + np.eye(n_side, k=-1))
+        self.mass_factors = (np.linalg.cholesky(mass[:cells, :cells]).T, np.linalg.cholesky(mass).T)
 
         # Bottom-edge flux load, split by the conductivity seen by each half:
         # row 0 is the left half, row 1 the right half.
@@ -183,18 +177,20 @@ class ThermalBlockModel:
 
     def stiffness_band(self, theta) -> np.ndarray:
         """``A(theta)`` in LAPACK upper band form, ``ab[b - k, k:] = diag(A, k)``."""
-        return _combine(_check_theta(theta), self.stiffness_bands)
+        parts = np.asarray(self.stiffness_bands)
+        return np.matmul(_check_theta(theta), parts.reshape(4, -1)).reshape(parts.shape[1:])
 
     def to_ambient(self, nodal) -> np.ndarray:
-        """Nodal coefficients -> ambient coordinates (U h)."""
-        return blas.dtbmv(self.bandwidth, self.mass_factor, as_vector(nodal, self.ambient_dim))
+        """Nodal coefficients -> ambient coordinates (U h = U_y H U_x^T)."""
+        u_y, u_x = self.mass_factors
+        grid = as_vector(nodal, self.ambient_dim).reshape(self.cells, -1)
+        return (u_y @ grid @ u_x.T).reshape(-1)
 
     def from_ambient(self, coords) -> np.ndarray:
         """Ambient coordinates -> nodal coefficients (solve U h = coords)."""
-        nodal, info = lapack.dtbtrs(self.mass_factor, as_vector(coords, self.ambient_dim))
-        if info:
-            raise np.linalg.LinAlgError(f"LAPACK dtbtrs failed with info={info}")
-        return nodal
+        u_y, u_x = self.mass_factors
+        grid = as_vector(coords, self.ambient_dim).reshape(self.cells, -1)
+        return np.linalg.solve(u_x, np.linalg.solve(u_y, grid).T).T.reshape(-1)
 
     def solve(self, theta, flux: float = 0.0) -> np.ndarray:
         """Solve the diffusion problem and return the state in ambient coordinates.
@@ -211,10 +207,11 @@ class ThermalBlockModel:
             raise ContractViolation(f"flux must be finite, got {flux}")
         rows = np.atleast_2d(t)
         cond = self._condensation()
+        g = cond.schur.shape[1]
         out = np.empty((len(rows), self.ambient_dim))
         for start in range(0, len(rows), _BLOCK_ROWS):
             block = rows[start : start + _BLOCK_ROWS]
-            schur = _combine(block.T[:, :, None, None], cond.schur)
+            schur = np.matmul(block[:, None, :], cond.schur.reshape(4, -1)).reshape(-1, g, g)
             np.linalg.cholesky(schur)  # LinAlgError unless every S(theta) is SPD
             a = flux / block[:, 2:]
             rhs = a[:, :1] * cond.loads[0] + a[:, 1:] * cond.loads[1]
@@ -241,12 +238,14 @@ class ThermalBlockModel:
         for q, ab in enumerate(self.stiffness_bands):
             inner = np.flatnonzero(~on_gamma & (quad == q))
             coupling = _band_block(ab, inner, gamma)
-            interior = cho_factor(_band_block(ab, inner, inner))
-            x = cho_solve(interior, np.hstack([coupling, flux[:, inner].T]))
+            interior = _band_block(ab, inner, inner)
+            np.linalg.cholesky(interior)  # LinAlgError unless K_q is SPD
+            x = np.linalg.solve(interior, np.hstack([coupling, flux[:, inner].T]))
             schur[q] = _band_block(ab, gamma, gamma) - coupling.T @ x[:, :g]
             loads = loads - x[:, g:].T @ coupling
             extension[inner, :g] = -x[:, :g]
             extension[inner, g + 2 * q : g + 2 * q + 2] = x[:, g:]
-        images = np.stack([self.to_ambient(col) for col in extension.T])
+        u_y, u_x = self.mass_factors
+        images = (u_y @ extension.T.reshape(g + 8, self.cells, -1) @ u_x.T).reshape(g + 8, n)
         self._condensed = _Condensation(self.stiffness_bands, schur, loads, images)
         return self._condensed

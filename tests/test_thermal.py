@@ -4,19 +4,36 @@ The assembly oracle re-derives every element matrix by Gauss quadrature of
 bilinear shape functions, sharing no code (and no precomputed constants) with
 the implementation.  The model holds no dense operator, so the dense
 references live here: the oracle, the cell-by-cell loop with the model's own
-local matrices (``cell_loop_reference``) and ``_dense_from_upper_band``.
+local stiffness and a local Q1 mass (``cell_loop_reference``) and
+``_dense_from_upper_band``.  The mass factor is checked against
+``scipy.linalg.cholesky_banded`` of the cell-loop mass.
 """
 
 import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import cholesky_banded
 
+import partialrom
 from partialrom import thermal
 from partialrom.errors import ContractViolation
 from partialrom.thermal import ThermalBlockModel
+
+# Local Q1 mass on the unit square, node order SW, SE, NE, NW.
+_M_LOCAL = (1.0 / 36.0) * np.array(
+    [
+        [4.0, 2.0, 1.0, 2.0],
+        [2.0, 4.0, 2.0, 1.0],
+        [1.0, 2.0, 4.0, 2.0],
+        [2.0, 1.0, 2.0, 4.0],
+    ]
+)
 
 # 2-point Gauss rule on [0, 1].
 _GPTS = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
@@ -101,8 +118,9 @@ def assemble_reference(cells):
 @functools.lru_cache(maxsize=None)
 def cell_loop_reference(cells):
     """Free-node quadrant stiffness parts, mass and flux loads, assembled cell by
-    cell with the model's own local matrices: the vectorized scatter sums the
-    same terms in the same order, so the results are equal bit for bit."""
+    cell.  The stiffness uses the model's own local matrix, so the vectorized
+    scatter sums the same terms in the same order and the parts are equal bit
+    for bit."""
     n_side, h = cells + 1, 1.0 / cells
     n = n_side * n_side
     stiff, mass, flux = np.zeros((4, n, n)), np.zeros((n, n)), np.zeros((2, n))
@@ -114,7 +132,7 @@ def cell_loop_reference(cells):
             quad = (0 if left else 1) if top else (2 if left else 3)
             for a in range(4):
                 stiff[quad][loc[a], loc] += thermal._K_LOCAL[a]
-                mass[loc[a], loc] += h * h * thermal._M_LOCAL[a]
+                mass[loc[a], loc] += h * h * _M_LOCAL[a]
     for cx in range(cells):
         flux[0 if (cx + 0.5) / cells < 0.5 else 1, [cx, cx + 1]] += 0.5 * h
     free = slice(0, cells * n_side)
@@ -151,7 +169,8 @@ class TestAssembly:
         ref_stiff, ref_mass, ref_gl, ref_gr = assemble_reference(cells)
         for band, ref in zip(model.stiffness_bands, ref_stiff):
             assert_allclose(_dense_from_upper_band(band), ref, atol=1e-13)
-        u = np.triu(_dense_from_upper_band(model.mass_factor))
+        u = np.kron(*model.mass_factors)
+        assert np.array_equal(u, np.triu(u))
         assert_allclose(u.T @ u, ref_mass, atol=1e-14)
         assert_allclose(model.flux_left, ref_gl, atol=1e-14)
         assert_allclose(model.flux_right, ref_gr, atol=1e-14)
@@ -162,7 +181,10 @@ class TestAssembly:
         model = ThermalBlockModel(cells)
         for band, ref in zip(model.stiffness_bands, stiff):
             assert np.array_equal(band, _upper_band(ref, model.bandwidth))
-        assert np.array_equal(model.mass_factor, cholesky_banded(_upper_band(mass, model.bandwidth)))
+        # U_y (x) U_x is the banded Cholesky factor of the cell-loop mass, to rounding.
+        ref = cholesky_banded(_upper_band(mass, model.bandwidth))
+        kron = _upper_band(np.kron(*model.mass_factors), model.bandwidth)
+        assert np.linalg.norm(kron - ref) <= 1e-15 * np.linalg.norm(ref)
         assert np.array_equal(model.flux_left, flux[0])
         assert np.array_equal(model.flux_right, flux[1])
 
@@ -203,6 +225,17 @@ class TestAssembly:
             with pytest.raises(ContractViolation):
                 ThermalBlockModel(bad)
 
+    @pytest.mark.parametrize("bad", [24.0, "4", True, np.float64(4.0), None], ids=repr)
+    def test_non_integral_cells_rejected(self, bad):
+        with pytest.raises(ContractViolation, match="cells must be an even integer"):
+            ThermalBlockModel(bad)
+
+    def test_numpy_integer_cells_accepted(self):
+        model = ThermalBlockModel(np.int64(4))
+        assert type(model.cells) is int
+        state = ThermalBlockModel(4).solve(np.ones(4), flux=1.0)
+        assert np.array_equal(model.solve(np.ones(4), flux=1.0), state)
+
     def test_theta_validation(self):
         model = ThermalBlockModel(2)
         with pytest.raises(ContractViolation):
@@ -223,7 +256,7 @@ class TestAssembly:
         model.stiffness_bands = tuple(-part for part in model.stiffness_bands)
         with pytest.raises(np.linalg.LinAlgError):
             model.solve((1.0, 1.0, 1.0, 1.0), flux=1.0)
-        model.mass_factor[model.bandwidth, 0] = 0.0
+        model.mass_factors[1][0, 0] = 0.0
         with pytest.raises(np.linalg.LinAlgError):
             model.from_ambient(np.ones(model.ambient_dim))
 
@@ -315,11 +348,15 @@ class TestBandedSolve:
     def test_band_form_expands_to_dense_stiffness(self, cells):
         model = ThermalBlockModel(cells)
         assert model.bandwidth == cells + 2
+        # Exact: a band narrower than the stiffness would drop nonzeros.
+        for band, ref in zip(model.stiffness_bands, cell_loop_reference(cells)[0]):
+            assert np.array_equal(_dense_from_upper_band(band), ref)
         theta = np.exp(np.random.default_rng(cells).uniform(np.log(0.1), np.log(10.0), 4))
         ab = model.stiffness_band(theta)
         assert ab.shape == (model.bandwidth + 1, model.ambient_dim)
-        # Exact: a band narrower than the stiffness would drop nonzeros.
-        assert np.array_equal(_dense_from_upper_band(ab), dense_stiffness(cells, theta))
+        # The combination is one BLAS product, which may fuse multiply-adds;
+        # every entry sums terms of one sign, so it is exact to a few ulps.
+        assert_allclose(_dense_from_upper_band(ab), dense_stiffness(cells, theta), rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("cells", [2, 4, 24])
     def test_matches_dense_solve(self, cells):
@@ -402,3 +439,17 @@ class TestBatchedSolve:
         model.stiffness_bands = bands
         with pytest.raises(np.linalg.LinAlgError):
             model.solve(np.ones((3, 4)), flux=1.0)
+
+
+def test_package_import_loads_no_scipy():
+    # scipy is a test-only dependency: a fresh interpreter importing the
+    # package, its command line and its self-test must not load any of it.
+    code = (
+        "import sys, partialrom, partialrom.cli, partialrom.selftest; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    path = [str(Path(partialrom.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
