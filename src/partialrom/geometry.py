@@ -7,6 +7,14 @@ around a subspace ``V``; a prior manifold is a finite intersection of such
 tubes.  Discretized PDE states enter this picture after the mass-Cholesky
 change of coordinates (see :mod:`partialrom.thermal`), so no weighted inner
 products appear anywhere downstream.
+
+Every pass over a whole cloud (a ``SnapshotSet``'s finiteness check, its
+largest norm, the nested-prefix widths) walks it in the row blocks of
+:func:`row_blocks`, so its temporaries are bounded by a block, not by the
+cloud: at least ``_PASS_ROWS`` rows and fewer than twice that, unless the
+whole cloud is shorter.  The check and the norm are bitwise those of one
+pass; the widths agree with one pass to rounding, since each block is its
+own product.
 """
 
 from __future__ import annotations
@@ -26,6 +34,9 @@ DROP_TOL = 1e-10
 #: Slack added to a tube's width in every membership test, the sampler's
 #: acceptance test included, so that boundary points survive rounding noise.
 TUBE_SLACK = 1e-9
+
+#: Rows per block of a pass over a whole cloud (see :func:`row_blocks`).
+_PASS_ROWS = 64
 
 
 def as_vector(h, ambient_dim: int | None = None) -> np.ndarray:
@@ -229,6 +240,20 @@ def prior_contains(prior: PriorManifold, h) -> bool:
     return all(ellipsoid_contains(e, h) for e in prior.ellipsoids)
 
 
+def row_blocks(n_rows: int):
+    """Slices of consecutive blocks of ``_PASS_ROWS`` rows covering ``n_rows``.
+
+    A short tail is folded into the last block, so no block has fewer than
+    ``_PASS_ROWS`` rows (nor twice as many) unless ``n_rows`` itself is
+    smaller; zero rows give no block.
+    """
+    if n_rows == 0:
+        return
+    count = max(n_rows // _PASS_ROWS, 1)
+    for b in range(count):
+        yield slice(b * _PASS_ROWS, n_rows if b == count - 1 else (b + 1) * _PASS_ROWS)
+
+
 def prefix_distances_sq(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Squared distance of each row of ``x`` (any leading shape) to the span
     of every column prefix of the orthonormal ``basis``, dims 0..d, as
@@ -254,11 +279,16 @@ def prefix_widths(vectors: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Worst-case distance of row vectors to every basis-prefix span (dims 1..d).
 
     ``basis`` is an (N, d) orthonormal matrix whose column prefixes define the
-    nested spaces; the distances are those of :func:`prefix_distances_sq`.
+    nested spaces; the distances are those of :func:`prefix_distances_sq`,
+    taken over blocks of rows with a running column maximum.
     """
     if basis.shape[1] == 0:
         return np.zeros(0)
-    return np.sqrt(prefix_distances_sq(vectors, basis)[:, 1:].max(axis=0))
+    widest_sq = np.zeros(basis.shape[1])
+    for rows in row_blocks(len(vectors)):
+        np.maximum(widest_sq, prefix_distances_sq(vectors[rows], basis)[:, 1:].max(axis=0),
+                   out=widest_sq)
+    return np.sqrt(widest_sq)
 
 
 @dataclass(frozen=True)
@@ -271,7 +301,7 @@ class SnapshotSet:
         v = np.asarray(self.vectors, dtype=float)
         if v.ndim != 2 or v.shape[0] == 0:
             raise ContractViolation(f"snapshot matrix must be 2-D and nonempty, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
+        if not all(np.isfinite(v[rows]).all() for rows in row_blocks(len(v))):
             raise ContractViolation("snapshots contain non-finite entries")
         v = np.ascontiguousarray(v)
         v.setflags(write=False)
@@ -298,8 +328,10 @@ class SnapshotSet:
 
     @functools.cached_property
     def max_norm(self) -> float:
-        """Largest snapshot norm, the cloud's width over S_0 = {0} (``vectors`` is read-only)."""
-        return float(np.linalg.norm(self.vectors, axis=1).max())
+        """Largest snapshot norm, the cloud's width over S_0 = {0} (``vectors`` is
+        read-only), with the row norms taken block by block."""
+        return max(float(np.linalg.norm(self.vectors[rows], axis=1).max())
+                   for rows in row_blocks(len(self)))
 
     def residual_norms(self, subspace: Subspace) -> np.ndarray:
         """Distances of every snapshot to ``subspace``."""

@@ -12,6 +12,11 @@ LAPACK's pivoted QR, xGEQP3).  Selection, exhaustion and the ``tol`` stop
 therefore see widths far below ``sqrt(eps_machine) * ||h||``.  The recorded
 error curve is one exact :func:`~partialrom.geometry.prefix_widths` pass over
 the final basis; it is nonincreasing because each row's prefix residuals are.
+
+No step holds a temporary the size of the cloud: the downdate works in place
+on one value per row, and stale rows (none in most iterations) are recomputed
+in the blocks of :func:`~partialrom.geometry.row_blocks`, as is the closing
+pass.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .geometry import SnapshotSet, Subspace, gram_schmidt_residual, prefix_widths
+from .geometry import SnapshotSet, Subspace, gram_schmidt_residual, prefix_widths, row_blocks
 
 #: Residual norms below this are treated as "span exhausted".
 EXHAUSTION_TOL = 1e-12
@@ -100,10 +105,13 @@ def greedy(snapshots: SnapshotSet, stop: StoppingRule) -> GreedyResult:
         basis[:, k] = resid / nrm
         coords[:, k] = vectors @ basis[:, k]
         indices.append(worst)
-        sq_dist = np.maximum(sq_dist - coords[:, k] ** 2, 0.0)
+        sq_dist -= coords[:, k] ** 2
+        np.maximum(sq_dist, 0.0, out=sq_dist)
         stale = np.flatnonzero(sq_dist < DOWNDATE_TOL * exact_sq)
-        resid = vectors[stale] - coords[stale, : k + 1] @ basis[:, : k + 1].T
-        sq_dist[stale] = exact_sq[stale] = np.einsum("ij,ij->i", resid, resid)
+        for rows in row_blocks(len(stale)):
+            idx = stale[rows]
+            resid = vectors[idx] - coords[idx, : k + 1] @ basis[:, : k + 1].T
+            sq_dist[idx] = exact_sq[idx] = np.einsum("ij,ij->i", resid, resid)
         if stop.tol is not None and np.sqrt(sq_dist.max()) <= stop.tol:
             break
 

@@ -59,13 +59,12 @@ _K_LOCAL = (1.0 / 6.0) * np.array(
 
 
 #: Rows of theta condensed and solved together.  It bounds the memory of a
-#: batch (a (rows, 2 cells, 2 cells) interface stack, 4.7 MB at cells 24) and
+#: batch (a (rows, 2 cells, 2 cells) interface stack, 1.2 MB at cells 24) and
 #: moves no result: every per-row step is elementwise or a stacked product.
-#: Blocks of 32-64 rows solve about 10% faster, but a whole thermal operation
-#: is faster at 256: freeing the larger stacks raises glibc's dynamic mmap
-#: threshold, and the later layers then take about a tenth of the minor page
-#: faults (1.3k against 12.5k per operation at cells 24).
-_BLOCK_ROWS = 256
+#: At cells 24, with BLAS on one thread, 361 states take 12.2-13.2 ms in
+#: blocks of 64 against 14.6-15.1 ms in blocks of 256, and 482 states 16.0-16.2
+#: against 17.5-17.6 ms (best of 40 calls).
+_BLOCK_ROWS = 64
 
 
 def _check_theta(theta, batch: bool = False) -> np.ndarray:

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from conftest import random_orthonormal
 from partialrom.errors import ContractViolation
 from partialrom.geometry import (
+    _PASS_ROWS,
     DegenerateEllipsoid,
     PriorManifold,
     SnapshotSet,
@@ -18,10 +19,15 @@ from partialrom.geometry import (
     ellipsoid_contains,
     lies_in,
     orthonormalize,
+    prefix_distances_sq,
     prefix_widths,
     prior_contains,
     project,
+    row_blocks,
 )
+
+#: Cloud sizes around the block edges of a pass over a whole cloud.
+EDGE_ROWS = (1, 63, 64, 65, 127, 128, 129, 5 * 64 + 3)
 
 
 class TestAsVector:
@@ -306,3 +312,41 @@ class TestPrefixWidths:
         vecs = coords @ basis.T + 1e-12 * rng.standard_normal((50, 1)) * perp
         widths = prefix_widths(vecs, basis)
         assert widths[-1] < 5e-12
+
+
+def _edge_cloud(rng, n_rows: int, peak_row: int) -> np.ndarray:
+    """Rows of norms spread over two decades, row ``peak_row`` the largest."""
+    vecs = rng.standard_normal((n_rows, 30)) * rng.uniform(0.1, 10.0, (n_rows, 1))
+    vecs[peak_row] *= 100.0
+    return vecs
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("n_rows", EDGE_ROWS)
+    def test_blocks_cover_the_rows_in_order_and_none_is_short(self, n_rows):
+        blocks = list(row_blocks(n_rows))
+        assert [i for b in blocks for i in range(n_rows)[b]] == list(range(n_rows))
+        sizes = [b.stop - b.start for b in blocks]
+        assert min(sizes) >= min(n_rows, _PASS_ROWS)
+        assert max(sizes) < 2 * _PASS_ROWS
+
+    def test_no_rows_no_block(self):
+        assert list(row_blocks(0)) == []
+
+    @pytest.mark.parametrize("n_rows", EDGE_ROWS)
+    @pytest.mark.parametrize("peak", ["first", "last"])
+    def test_prefix_widths_across_block_edges(self, rng, n_rows, peak):
+        vecs = _edge_cloud(rng, n_rows, 0 if peak == "first" else -1)
+        basis = random_orthonormal(rng, 30, 6)
+        widths = prefix_widths(vecs, basis)
+        cloud = SnapshotSet(vecs)
+        brute = [cloud.residual_norms(Subspace(basis[:, :d])).max() for d in range(1, 7)]
+        assert_allclose(widths, brute, rtol=1e-10)
+        unblocked = np.sqrt(prefix_distances_sq(vecs, basis)[:, 1:].max(axis=0))
+        assert_allclose(widths, unblocked, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("n_rows", EDGE_ROWS)
+    @pytest.mark.parametrize("peak", ["first", "last"])
+    def test_max_norm_is_the_unblocked_norm_bit_for_bit(self, rng, n_rows, peak):
+        vecs = _edge_cloud(rng, n_rows, 0 if peak == "first" else -1)
+        assert SnapshotSet(vecs).max_norm == np.linalg.norm(vecs, axis=1).max()

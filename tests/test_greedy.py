@@ -7,8 +7,15 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from partialrom.errors import ContractViolation
-from partialrom.geometry import SnapshotSet, dist, orthonormalize
-from partialrom.greedy import GreedyResult, StoppingRule, greedy
+from partialrom.geometry import (
+    _PASS_ROWS,
+    SnapshotSet,
+    dist,
+    gram_schmidt_residual,
+    orthonormalize,
+    prefix_distances_sq,
+)
+from partialrom.greedy import DOWNDATE_TOL, TIE_RTOL, GreedyResult, StoppingRule, greedy
 from partialrom.rng import derived_rng
 from partialrom.thermal import ThermalBlockModel
 from partialrom.worlds import build_thermal_world
@@ -225,6 +232,44 @@ class TestTinyWidthAccuracy:
         b = greedy(SnapshotSet(vecs + 1e-15 * vecs), StoppingRule(max_dim=30))
         assert a.terminal_dim == 18
         assert a.selected_indices == b.selected_indices
+
+
+def _unblocked_greedy(vectors: np.ndarray, max_dim: int):
+    """Greedy's loop with every stale row recomputed in one product and the
+    curve from one unblocked prefix pass; also the most rows stale at once."""
+    sq_dist = np.einsum("ij,ij->i", vectors, vectors)
+    exact_sq = sq_dist.copy()
+    basis = np.empty((vectors.shape[1], max_dim))
+    coords = np.empty((len(vectors), max_dim))
+    indices, most_stale = [], 0
+    for k in range(max_dim):
+        worst = int(np.argmax(sq_dist >= (1.0 - TIE_RTOL) * sq_dist.max()))
+        resid = gram_schmidt_residual(basis[:, :k], vectors[worst])
+        basis[:, k] = resid / np.linalg.norm(resid)
+        coords[:, k] = vectors @ basis[:, k]
+        indices.append(worst)
+        sq_dist = np.maximum(sq_dist - coords[:, k] ** 2, 0.0)
+        stale = np.flatnonzero(sq_dist < DOWNDATE_TOL * exact_sq)
+        resid = vectors[stale] - coords[stale, : k + 1] @ basis[:, : k + 1].T
+        sq_dist[stale] = exact_sq[stale] = np.einsum("ij,ij->i", resid, resid)
+        most_stale = max(most_stale, stale.size)
+    curve = np.sqrt(prefix_distances_sq(vectors, basis)[:, 1:].max(axis=0))
+    return tuple(indices), curve, most_stale
+
+
+def test_stale_event_over_several_blocks_matches_one_product():
+    # A rank-4 cloud plus 1e-9 noise: once the rank is spanned every row's
+    # downdate cancels and all rows go stale in one iteration (584 of 605 rows
+    # do so on thermal posterior clouds), so the recompute spans several blocks.
+    rng = derived_rng(23)
+    n_rows = 5 * _PASS_ROWS + 17
+    low_rank = rng.standard_normal((n_rows, 4)) @ rng.standard_normal((4, 50))
+    vectors = low_rank + 1e-9 * rng.standard_normal((n_rows, 50))
+    picks, curve, most_stale = _unblocked_greedy(vectors, 8)
+    assert most_stale > 2 * _PASS_ROWS
+    res = greedy(SnapshotSet(vectors), StoppingRule(max_dim=8))
+    assert res.selected_indices == picks
+    assert_allclose(res.error_curve, curve, rtol=1e-14, atol=0.0)
 
 
 @st.composite
