@@ -43,8 +43,8 @@ def width_degenerate_ellipsoid(k: int, eps: float, i: int) -> float:
     """Exact i-width of a degenerate ellipsoid with k-dimensional core."""
     if k < 0 or i < 0:
         raise ContractViolation("k and i must be >= 0")
-    if eps < 0:
-        raise ContractViolation(f"eps must be >= 0, got {eps}")
+    if not 0 <= eps < np.inf:
+        raise ContractViolation(f"eps must be >= 0 and finite, got {eps}")
     return INF if i < k else eps
 
 

@@ -21,6 +21,7 @@ pass.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,9 +47,11 @@ class StoppingRule:
     tol: float | None = None
 
     def __post_init__(self):
-        if self.max_dim is not None and self.max_dim < 0:
-            raise ContractViolation(f"max_dim must be >= 0, got {self.max_dim}")
-        if self.tol is not None and self.tol < 0:
+        dim = self.max_dim
+        if dim is not None:
+            if not isinstance(dim, numbers.Integral) or isinstance(dim, bool) or dim < 0:
+                raise ContractViolation(f"max_dim must be an integer >= 0, got {dim!r}")
+        if self.tol is not None and not self.tol >= 0:
             raise ContractViolation(f"tol must be >= 0, got {self.tol}")
 
 

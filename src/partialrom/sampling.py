@@ -12,14 +12,14 @@ directions ``v*_{q+1..n}``, and a component z in W⊥ ∩ V⊥, constrained by
 
     sum b_j^2 + ||z||^2  <=  budget = eps'^2 - sum_{j>q} <w*_j, h>^2.
 
-``sample_slice`` draws from one slice.  Each draw takes one standard Gaussian
-N-vector, whose wt coordinates and W⊥ ∩ V⊥ part give b and z (so no basis
-choice inside a cluster of equal sigma matters, and pi comes from their squared
-norms), and one row of uniforms.  A prior of one or more ellipsoids is
-sampled by rejection: draws come from a reference factor's slice, and those
-outside any other factor are dropped (a single tube has no other factor, so
-every draw is kept).  The factors of a nested prior are tested together, off
-one coordinate product on the widest tested basis and one exact residual
+Each draw takes one standard Gaussian N-vector and one row of uniforms, and
+``_add_deviations`` turns a round's draws, held on their (points, draws, ·)
+shape, into deviations from their slice centers; the draw law is stated
+there.  A prior of one or more ellipsoids is sampled by rejection: draws come
+from a reference factor's slice, and those outside any other factor are
+dropped (a single tube has no other factor, so every draw is kept).  The
+factors of a nested prior are tested together, off one coordinate product on
+the widest tested basis and one exact residual
 (``geometry.prefix_distances_sq``); any other factor by its own residual.
 One rejection loop does all sampling: ``sample_posterior`` runs it over a
 cloud of manifold points, and ``sample_slice`` and ``sample_slice_multi`` are
@@ -47,6 +47,7 @@ from .geometry import (
     Subspace,
     as_vector,
     distances,
+    gram_schmidt_residual,
     lies_in,
     prefix_distances_sq,
 )
@@ -215,72 +216,58 @@ def build_slice(obs: Observation, prior: DegenerateEllipsoid, bases: SuitableBas
 
 
 def _rows_with_norms(x: np.ndarray, sq_norms: np.ndarray, targets_sq: np.ndarray) -> np.ndarray:
-    """Rescale each row of ``x`` in place from squared norm ``sq_norms`` to
-    ``targets_sq``; a zero row stays zero."""
+    """Rescale each row (last axis) of ``x`` in place from squared norm
+    ``sq_norms`` to ``targets_sq``; a zero row stays zero."""
     ratio = np.divide(targets_sq, sq_norms, out=np.zeros_like(sq_norms), where=sq_norms > 0)
-    x *= np.sqrt(ratio)[:, None]
+    x *= np.sqrt(ratio)[..., None]
     return x
 
 
-def _times(x: np.ndarray, mat: np.ndarray, stacks: int) -> np.ndarray:
-    """``x @ mat`` for rows ``x`` that form ``stacks`` equal stacks, one
-    product per stack.  A stack's rows round as they would alone; one GEMM
-    over rows of several stacks may round them differently (``x`` may have no
-    columns, so the row count is explicit)."""
-    rows = x.shape[0]
-    return (x.reshape(stacks, rows // stacks, x.shape[1]) @ mat).reshape(rows, -1)
+def _add_deviations(
+    out: np.ndarray,
+    gauss: np.ndarray,
+    unif: np.ndarray,
+    budgets: np.ndarray,
+    bases: SuitableBases,
+    pi_dist: PiDistribution,
+    d_box: float,
+) -> None:
+    """Add every draw's deviation from its slice center to ``out`` (points,
+    draws, N), which holds the centers, in place.
 
+    The law of a slice draw.  Each draw takes one standard Gaussian N-vector g
+    (``gauss``, points x draws x N) and one uniform row [mixture coin u_0 |
+    budget fraction u_1 | tail (n - q)] (``unif``).  g's wt coordinates give
+    the direction of b and its projection onto W⊥ ∩ V⊥ that of z, both read off
+    g in the ambient space, so a rotation of the bases inside a cluster of
+    equal sigma moves no draw.  The two parts are independent, and a standard
+    Gaussian's norm is independent of its direction, so their squared norms
+    are the chi-square sums pi needs (:meth:`PiDistribution.from_norms`).  Of
+    gamma = u_1 * budget (``budgets``, one per point), gamma * pi^2 of squared
+    norm goes on b and gamma * (1 - pi^2) on z, and d_j ~ U[-d_box, d_box] on
+    the unobserved prior directions v*_{q+1..n}.  So every draw reproduces the
+    observation exactly and stays within the slice's width.
 
-class _SliceDraws:
-    """The random blocks of ``count`` slice draws, one row per draw.
-
-    Each row holds one standard Gaussian N-vector g and one uniform block
-    [mixture coin | budget fraction | tail (n - q)].  :meth:`fill` draws a
-    range of rows from one slice's stream, one generator call per block;
-    :meth:`add_to` turns every row into a deviation from its slice center in
-    one pass over all rows.  g's wt coordinates give b and its projection onto
-    W⊥ ∩ V⊥ gives z, both read off g in the ambient space, so a rotation of
-    the bases inside a cluster of equal sigma moves no draw.  The two parts
-    are independent, and a standard Gaussian's norm is independent of its
-    direction: their squared norms are the chi-square sums pi needs.
+    Every product is a stacked ``np.matmul``, one per point, so a point's
+    draws round as they would alone.  ``gauss`` and ``unif`` are overwritten.
     """
-
-    def __init__(self, bases: SuitableBases, count: int, pi_dist: PiDistribution | None, d_box: float):
-        self.bases = bases
-        self.pi_dist = pi_dist or PiDistribution.uniform_beta()
-        self.d_box = d_box
-        self.gauss = np.empty((count, bases.ambient_dim))
-        self.unif = np.empty((count, 2 + bases.n - bases.q))
-
-    def fill(self, rows: slice, gen: np.random.Generator) -> None:
-        """Draw one slice's blocks into ``rows``: the Gaussian block, then the
-        uniform block."""
-        gen.standard_normal(out=self.gauss[rows])
-        gen.random(out=self.unif[rows])
-
-    def add_to(self, out: np.ndarray, budgets: np.ndarray, stacks: int) -> np.ndarray:
-        """Add every row's deviation to ``out`` (the rows' slice centers) in
-        place, with ``budgets`` the rows' squared deviation budgets; the blocks
-        are overwritten on the way.  The rows are ``stacks`` equal stacks, one
-        per point, and every product is taken per stack (see :func:`_times`)."""
-        b, g = self.bases, self.gauss
-        comp = b.complement_onb
-        coeffs = _times(g, comp, stacks)        # g on [w* | wt | v*_{q+1..n}]
-        if b.r:
-            g -= _times(coeffs, comp.T, stacks)
-        else:
-            g.fill(0.0)                         # W⊥ ∩ V⊥ = {0}: no z, not rounding noise
-        dirs = coeffs[:, b.m : b.m + b.q - b.p]
-        head, tail = np.sum(dirs * dirs, axis=1), np.sum(g * g, axis=1)
-        pi = self.pi_dist.from_norms(head, tail, self.unif[:, 0])
-        gamma = self.unif[:, 1] * budgets
-        # -b_j / sigma_j along wt_j, d_j along v*_j (j > q)
-        _rows_with_norms(dirs, head, gamma * pi**2)
-        dirs /= -b.sigma[b.p : b.q]
-        coeffs[:, b.m + b.q - b.p :] = self.d_box * (2.0 * self.unif[:, 2:] - 1.0)
-        out += _times(coeffs[:, b.m :], comp[:, b.m :].T, stacks)
-        out += _rows_with_norms(g, tail, gamma * (1.0 - pi**2))
-        return out
+    b, g = bases, gauss
+    comp = b.complement_onb
+    coeffs = g @ comp                       # g on [w* | wt | v*_{q+1..n}]
+    if b.r:
+        g -= coeffs @ comp.T
+    else:
+        g.fill(0.0)                         # W⊥ ∩ V⊥ = {0}: no z, not rounding noise
+    dirs = coeffs[..., b.m : b.m + b.q - b.p]
+    head, tail = np.sum(dirs * dirs, axis=-1), np.sum(g * g, axis=-1)
+    pi = pi_dist.from_norms(head, tail, unif[..., 0])
+    gamma = unif[..., 1] * budgets[:, None]
+    # -b_j / sigma_j along wt_j, d_j along v*_j (j > q)
+    _rows_with_norms(dirs, head, gamma * pi**2)
+    dirs /= -b.sigma[b.p : b.q]
+    coeffs[..., b.m + b.q - b.p :] = d_box * (2.0 * unif[..., 2:] - 1.0)
+    out += coeffs[..., b.m :] @ comp[:, b.m :].T
+    out += _rows_with_norms(g, tail, gamma * (1.0 - pi**2))
 
 
 def sample_slice(
@@ -292,17 +279,13 @@ def sample_slice(
 ) -> SnapshotSet:
     """Draw ``n_samples`` points of the slice.
 
-    The stream gives one Gaussian block (a standard Gaussian N-vector g per
-    sample) and one uniform block (mixture coin, budget fraction, n - q tail
-    coordinates) for all samples.  A budget fraction gamma ~ U[0, budget] is
-    split by pi (see :meth:`PiDistribution.from_norms`, fed the squared norms
-    of g's two parts below): gamma * pi^2 of squared norm goes on b (g's wt
-    coordinates, normalized: a uniform direction), gamma * (1 - pi^2) on
-    z ∈ W⊥ ∩ V⊥ (g projected off the complement blocks, then normalized), and
-    d_j ~ U[-d_box, d_box] on the unobserved prior directions.  Every output
-    reproduces the observation exactly and stays within the prior width.  This is the one-point call of
-    the rejection loop of :func:`sample_posterior` on the slice's own tube,
-    which keeps every draw.
+    The stream gives one Gaussian block (a standard Gaussian N-vector per
+    sample), then one uniform block (mixture coin, budget fraction, n - q tail
+    coordinates) for all samples; :func:`_add_deviations` states the law that
+    turns them into draws.  Every output reproduces the observation exactly
+    and stays within the prior width.  This is the one-point call of the
+    rejection loop of :func:`sample_posterior` on the slice's own tube, which
+    keeps every draw.
     """
     b = slice_.bases
     samples, _, _ = _rejection_sample(
@@ -390,10 +373,13 @@ def _rejection_sample(
     lies within every other factor's width plus ``TUBE_SLACK``
     (:func:`_within_tubes`), so a single tube keeps its first round whole.
     Points go in blocks of ``_BLOCK_POINTS``; in each round the points of a
-    block that draw the same number are drawn together into a scratch array,
-    with every product taken per point, and each point's kept rows are copied
-    after the rows it already holds, so each point's draws are bitwise those
-    of a one-point call.
+    block that draw the same number are drawn together: each fills its row of
+    a (points, draws, N) Gaussian and a (points, draws, 2 + n - q) uniform
+    array from its stream, a (points, draws, N) batch is filled with their
+    centers, and :func:`_add_deviations` adds the deviations in place, one
+    product per point.  Each point's kept rows are copied after the rows it
+    already holds, so each point's draws are bitwise those of a one-point
+    call.
 
     Returns the kept draws (point by point, in draw order) and each point's
     kept and drawn counts.  Points left short raise one
@@ -404,6 +390,7 @@ def _rejection_sample(
     max_draws = _draw_limit(n_samples, max_draws)
     if not 0 <= d_box < np.inf:
         raise ContractViolation(f"d_box must be >= 0 and finite, got {d_box}")
+    pi_dist = pi_dist or PiDistribution.uniform_beta()
     ref = prior.factor(j_star)
     others = [e for i, e in enumerate(prior.ellipsoids) if i != j_star - 1]
     inside = _within_tubes(others)
@@ -421,14 +408,17 @@ def _rejection_sample(
             chunks = np.minimum(n_samples - kept[short], max_draws - drawn[short])
             for chunk in sorted(set(chunks.tolist())):
                 pts = short[chunks == chunk]
-                draws = _SliceDraws(bases, pts.size * chunk, pi_dist, d_box)
+                gauss = np.empty((pts.size, chunk, ambient))
+                unif = np.empty((pts.size, chunk, 2 + bases.n - bases.q))
                 for k, i in enumerate(pts):
-                    draws.fill(slice(k * chunk, (k + 1) * chunk), streams.open(i))
+                    gen = streams.open(i)
+                    gen.standard_normal(out=gauss[k])
+                    gen.random(out=unif[k])
                     if others:  # the point may draw again
                         streams.hold(i)
                 batch = np.empty((pts.size, chunk, ambient))
                 batch[:] = centers[pts - start]
-                draws.add_to(batch.reshape(-1, ambient), np.repeat(budgets[pts], chunk), pts.size)
+                _add_deviations(batch, gauss, unif, budgets[pts], bases, pi_dist, d_box)
                 ok = inside(batch)
                 # Each point's kept rows, in draw order, go after those it holds.
                 hits = ok.sum(axis=1)
@@ -563,18 +553,20 @@ def union_set_contains(
     with ``b_j = sqrt(1 - sigma_j^2) A_j - sigma_j B_j`` read off the w* and wt
     coefficients of ``h'``; the tube slack is added to the squared budgets.
     """
-    if eps < 0:
-        raise ContractViolation(f"eps must be >= 0, got {eps}")
+    if not 0 <= eps < np.inf:
+        raise ContractViolation(f"eps must be >= 0 and finite, got {eps}")
     v = as_vector(h_prime, bases.ambient_dim)
     if not lies_in(t_subspace, bases.v_subspace):
         raise ContractViolation("T is not contained in the prior subspace")
 
     m, q, p = bases.m, bases.q, bases.p
-    a_coeffs = bases.w_star.T @ v                             # A_j, j = 1..m
-    b_wt = bases.w_tilde.T @ v                                # B_j, j = p+1..q
-    tail = bases.v_star_tail.T @ v                            # D_j (unconstrained)
-    c_sq = float(v @ v - a_coeffs @ a_coeffs - b_wt @ b_wt - tail @ tail)
-    c_sq = max(c_sq, 0.0)
+    coeffs = bases.complement_onb.T @ v
+    a_coeffs = coeffs[:m]                                     # A_j, j = 1..m
+    b_wt = coeffs[m : m + q - p]                              # B_j, j = p+1..q
+    # The W⊥ ∩ V⊥ part as a residual, not as ||v||^2 minus the coefficients'
+    # squares, which a large component along T would swamp.
+    c = gram_schmidt_residual(bases.complement_onb, v)
+    c_sq = float(c @ c)
 
     sigma_q = np.ones(q)
     sigma_q[p:q] = bases.sigma[p:q]

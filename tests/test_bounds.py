@@ -52,8 +52,9 @@ class TestWidthDegenerateEllipsoid:
             width_degenerate_ellipsoid(-1, 0.1, 0)
         with pytest.raises(ContractViolation):
             width_degenerate_ellipsoid(1, 0.1, -1)
-        with pytest.raises(ContractViolation):
-            width_degenerate_ellipsoid(1, -0.1, 0)
+        for eps in (-0.1, np.nan, np.inf):
+            with pytest.raises(ContractViolation):
+                width_degenerate_ellipsoid(1, eps, 0)
 
 
 class TestPosteriorWidthBounds:

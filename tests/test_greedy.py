@@ -171,10 +171,14 @@ class TestEdgeCases:
             res.subspace(-1)
 
     def test_stopping_rule_validation(self):
-        with pytest.raises(ContractViolation):
-            StoppingRule(max_dim=-1)
-        with pytest.raises(ContractViolation):
-            StoppingRule(tol=-0.5)
+        for max_dim in (-1, 2.5, 3.0, True, "3", np.float64(2.0)):
+            with pytest.raises(ContractViolation):
+                StoppingRule(max_dim=max_dim)
+        for tol in (-0.5, np.nan):
+            with pytest.raises(ContractViolation):
+                StoppingRule(tol=tol)
+        assert StoppingRule(max_dim=np.int64(3)).max_dim == 3
+        assert StoppingRule(tol=np.inf).tol == np.inf
 
     def test_duplicate_snapshots(self):
         vecs = np.array([[2.0, 0.0], [2.0, 0.0], [0.0, 1.0]])

@@ -1,7 +1,9 @@
 """Passes over a whole cloud hold temporaries of a few row blocks, not of the cloud.
 
 The passes are a cloud's finiteness check (``SnapshotSet``), its largest norm,
-the nested-prefix widths and greedy.
+the nested-prefix widths and greedy.  The posterior sampler likewise holds
+temporaries of a few point blocks (``sampling._BLOCK_POINTS`` points) beyond
+its output.
 
 ``tracemalloc`` sees numpy's array allocations, so the peak it records inside
 a call is the memory the call's arrays took on top of its inputs.  The bound
@@ -19,6 +21,8 @@ from conftest import random_orthonormal
 from partialrom.geometry import _PASS_ROWS, SnapshotSet, prefix_widths
 from partialrom.greedy import StoppingRule, greedy
 from partialrom.rng import derived_rng
+from partialrom.sampling import _BLOCK_POINTS, sample_posterior
+from partialrom.worlds import build_synthetic_world
 
 AMBIENT = 300
 MAX_DIM = 10
@@ -76,3 +80,33 @@ def test_peak_does_not_grow_with_the_rows(peaks, name):
     small, large = peaks[20 * _PASS_ROWS][name], peaks[40 * _PASS_ROWS][name]
     per_row = 20 * _PASS_ROWS * (MAX_DIM + 4) * 8 if name == "greedy" else 0
     assert large - small < BLOCK_BYTES / 8 + per_row, (small, large)
+
+
+PER_POINT = 5
+
+
+@pytest.fixture(scope="module")
+def sampler_peaks() -> dict[tuple[int, int], float]:
+    """Peak of one ``sample_posterior`` call beyond its output, in point blocks
+    of ``_BLOCK_POINTS * PER_POINT`` rows, per (tubes, points)."""
+    world = build_synthetic_world(n_points=256, seed=3)
+    w = world.observation_subspace(25)
+    block_bytes = _BLOCK_POINTS * PER_POINT * world.ambient_dim * 8
+    peaks = {}
+    for n_factors in (1, 11):
+        prior = world.prior_manifold(25, n_factors)
+        for n_points in (128, 256):
+            cloud = SnapshotSet(world.cloud.vectors[:n_points])
+            out = []
+            peak = _peak_bytes(lambda: out.append(sample_posterior(cloud, w, prior, PER_POINT)))
+            peaks[n_factors, n_points] = (peak - out[0].vectors.nbytes) / block_bytes
+    return peaks
+
+
+@pytest.mark.parametrize("n_factors", [1, 11])
+def test_sampler_peak_is_a_few_point_blocks(sampler_peaks, n_factors):
+    # The scratch arrays of one round are a few blocks; the held Philox states
+    # of a multi-tube prior grow with the points, by well under a block here.
+    small, large = sampler_peaks[n_factors, 128], sampler_peaks[n_factors, 256]
+    assert large < 7, (small, large)
+    assert large - small < 1, (small, large)

@@ -842,10 +842,25 @@ class TestUnionSetContains:
         with pytest.raises(ContractViolation):
             union_set_contains(np.zeros(14), outside, 0.1, prior, sb)
 
+    @pytest.mark.parametrize("scale", [1e6, 1e7, 1e8, 1e9])
+    def test_large_component_along_t_keeps_the_free_part(self, scale):
+        # The W⊥ ∩ V⊥ part c of s t + c u decides the prior budget (width
+        # 0.05) however large the free component s along T is.
+        for trial in range(5):
+            w, v, t, sb, prior = self.make_instance(
+                derived_rng(24, trial), n_amb=40, m=8, n=10, eps_prime=0.05
+            )
+            along_t, free = t.basis[:, 0], sb.u_basis[:, 0]
+            inside, outside = scale * along_t + 0.049 * free, scale * along_t + 0.051 * free
+            assert union_set_contains(inside, t, 1e-3, prior, sb), trial
+            assert not union_set_contains(outside, t, 1e-3, prior, sb), trial
+
     def test_negative_eps_rejected(self, rng):
+        # eps is a tube width: finite and >= 0, as DegenerateEllipsoid's.
         w, v, t, sb, prior = self.make_instance(rng)
-        with pytest.raises(ContractViolation):
-            union_set_contains(np.zeros(14), t, -1.0, prior, sb)
+        for eps in (-1.0, np.nan, np.inf):
+            with pytest.raises(ContractViolation):
+                union_set_contains(np.zeros(14), t, eps, prior, sb)
 
     def test_zero_dimensional_t(self, rng):
         w, v, _, sb, prior = self.make_instance(rng)
