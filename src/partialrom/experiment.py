@@ -24,6 +24,7 @@ import dataclasses
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -88,6 +89,9 @@ class RunConfig:
     def validate(self) -> None:
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
+            integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            if f.type == "int" and not integral:
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.setup not in (1, 2):

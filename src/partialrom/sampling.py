@@ -13,25 +13,28 @@ directions ``v*_{q+1..n}``, and a component z in W⊥ ∩ V⊥, constrained by
     sum b_j^2 + ||z||^2  <=  budget = eps'^2 - sum_{j>q} <w*_j, h>^2.
 
 Each draw takes one standard Gaussian N-vector and one row of uniforms, and
-``_add_deviations`` turns a round's draws, held on their (points, draws, ·)
-shape, into deviations from their slice centers; the draw law is stated
-there.  A prior of one or more ellipsoids is sampled by rejection: draws come
-from a reference factor's slice, and those outside any other factor are
-dropped (a single tube has no other factor, so every draw is kept).  The
-factors of a nested prior are tested together, off one coordinate product on
-the widest tested basis and one exact residual
-(``geometry.prefix_distances_sq``); any other factor by its own residual.
-One rejection loop does all sampling: ``sample_posterior`` runs it over a
-cloud of manifold points, and ``sample_slice`` and ``sample_slice_multi`` are
-its one-point calls.  Point i draws from the derived stream (seed, i) alone,
-through one Philox generator keyed per point (``rng.Streams``), and every
-product, observation to deviation, is taken per point (stacked
-``np.matmul``), so its draws are bitwise those of a one-point call; point
-estimates take the same path.
+``_add_deviations`` turns a round's Gaussians, held on their (points, draws,
+N) shape, into the draws in place (centers plus deviations); the draw law is
+stated there.  A prior of one or more ellipsoids is sampled by rejection:
+draws come from a reference factor's slice, and those outside any other factor
+are dropped (a single tube has no other factor, so every draw is kept).  Each
+block of points draws its first round straight into its rows of the output
+cloud, so a single tube's cloud is built where it is returned, with no batch,
+gather or scatter copy of it.  The factors of a nested prior are tested
+together, off one coordinate product on the widest tested basis and one exact
+residual (``geometry.prefix_distances_sq``); any other factor by its own
+residual.  One rejection loop does all sampling: ``sample_posterior`` runs it
+over a cloud of manifold points, and ``sample_slice`` and
+``sample_slice_multi`` are its one-point calls.  Point i draws from the
+derived stream (seed, i) alone, through one Philox generator keyed per point
+(``rng.Streams``), and every product, observation to deviation, is taken per
+point (stacked ``np.matmul``), so its draws are bitwise those of a one-point
+call; point estimates take the same path.
 """
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -224,19 +227,20 @@ def _rows_with_norms(x: np.ndarray, sq_norms: np.ndarray, targets_sq: np.ndarray
 
 
 def _add_deviations(
-    out: np.ndarray,
-    gauss: np.ndarray,
+    draws: np.ndarray,
+    centers: np.ndarray,
     unif: np.ndarray,
     budgets: np.ndarray,
     bases: SuitableBases,
     pi_dist: PiDistribution,
     d_box: float,
 ) -> None:
-    """Add every draw's deviation from its slice center to ``out`` (points,
-    draws, N), which holds the centers, in place.
+    """Turn ``draws`` (points, draws, N), which holds each draw's standard
+    Gaussian N-vector, into the draws themselves, in place: each point's slice
+    center (``centers``, points x 1 x N) plus the draw's deviation from it.
 
     The law of a slice draw.  Each draw takes one standard Gaussian N-vector g
-    (``gauss``, points x draws x N) and one uniform row [mixture coin u_0 |
+    (its row of ``draws`` on entry) and one uniform row [mixture coin u_0 |
     budget fraction u_1 | tail (n - q)] (``unif``).  g's wt coordinates give
     the direction of b and its projection onto W⊥ ∩ V⊥ that of z, both read off
     g in the ambient space, so a rotation of the bases inside a cluster of
@@ -248,10 +252,13 @@ def _add_deviations(
     the unobserved prior directions v*_{q+1..n}.  So every draw reproduces the
     observation exactly and stays within the slice's width.
 
-    Every product is a stacked ``np.matmul``, one per point, so a point's
-    draws round as they would alone.  ``gauss`` and ``unif`` are overwritten.
+    g is overwritten by z, and the draw is z + (center + fixed), where
+    ``fixed`` is the b and d part on [wt | v*_{q+1..n}].  IEEE addition
+    commutes, so this is bitwise (center + fixed) + z, the draw as added onto
+    its center.  Every product is a stacked ``np.matmul``, one per point, so a
+    point's draws round as they would alone.  ``unif`` is overwritten.
     """
-    b, g = bases, gauss
+    b, g = bases, draws
     comp = b.complement_onb
     coeffs = g @ comp                       # g on [w* | wt | v*_{q+1..n}]
     if b.r:
@@ -266,8 +273,10 @@ def _add_deviations(
     _rows_with_norms(dirs, head, gamma * pi**2)
     dirs /= -b.sigma[b.p : b.q]
     coeffs[..., b.m + b.q - b.p :] = d_box * (2.0 * unif[..., 2:] - 1.0)
-    out += coeffs[..., b.m :] @ comp[:, b.m :].T
-    out += _rows_with_norms(g, tail, gamma * (1.0 - pi**2))
+    fixed = coeffs[..., b.m :] @ comp[:, b.m :].T
+    fixed += centers
+    _rows_with_norms(g, tail, gamma * (1.0 - pi**2))
+    g += fixed
 
 
 def sample_slice(
@@ -311,6 +320,10 @@ class MultiSliceResult:
 
 def _draw_limit(n_samples: int, max_draws: int | None) -> int:
     """The draw budget for ``n_samples`` accepted samples (default ``100 * n_samples``)."""
+    for name, value in (("n_samples", n_samples), ("max_draws", max_draws)):
+        integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+        if value is not None and not integral:
+            raise ContractViolation(f"{name} must be an integer, got {value!r}")
     if n_samples < 1:
         raise ContractViolation(f"n_samples must be >= 1, got {n_samples}")
     if max_draws is None:
@@ -373,13 +386,15 @@ def _rejection_sample(
     lies within every other factor's width plus ``TUBE_SLACK``
     (:func:`_within_tubes`), so a single tube keeps its first round whole.
     Points go in blocks of ``_BLOCK_POINTS``; in each round the points of a
-    block that draw the same number are drawn together: each fills its row of
-    a (points, draws, N) Gaussian and a (points, draws, 2 + n - q) uniform
-    array from its stream, a (points, draws, N) batch is filled with their
-    centers, and :func:`_add_deviations` adds the deviations in place, one
-    product per point.  Each point's kept rows are copied after the rows it
-    already holds, so each point's draws are bitwise those of a one-point
-    call.
+    block that draw the same number are drawn together: each writes its
+    Gaussians from its stream into its rows of a (points, draws, N) array and
+    its uniforms into a (points, draws, 2 + n - q) one, and
+    :func:`_add_deviations` turns them into draws in place, one product per
+    point.  In a block's first round, where every point draws ``n_samples``,
+    that array is the points' own rows of the output; later rounds fill a
+    buffer.  Each point's kept rows are copied after the rows it already
+    holds, unless a first round keeps every draw, so each point's draws are
+    bitwise those of a one-point call and a single tube's are never copied.
 
     Returns the kept draws (point by point, in draw order) and each point's
     kept and drawn counts.  Points left short raise one
@@ -408,22 +423,30 @@ def _rejection_sample(
             chunks = np.minimum(n_samples - kept[short], max_draws - drawn[short])
             for chunk in sorted(set(chunks.tolist())):
                 pts = short[chunks == chunk]
-                gauss = np.empty((pts.size, chunk, ambient))
+                # The block's first round, every point drawing n_samples, is
+                # drawn in place in the points' rows of the output.
+                in_place = not drawn[pts[0]]
+                if in_place:
+                    draws = out[start : start + pts.size]
+                else:
+                    draws = np.empty((pts.size, chunk, ambient))
                 unif = np.empty((pts.size, chunk, 2 + bases.n - bases.q))
                 for k, i in enumerate(pts):
                     gen = streams.open(i)
-                    gen.standard_normal(out=gauss[k])
+                    gen.standard_normal(out=draws[k])
                     gen.random(out=unif[k])
                     if others:  # the point may draw again
                         streams.hold(i)
-                batch = np.empty((pts.size, chunk, ambient))
-                batch[:] = centers[pts - start]
-                _add_deviations(batch, gauss, unif, budgets[pts], bases, pi_dist, d_box)
-                ok = inside(batch)
-                # Each point's kept rows, in draw order, go after those it holds.
+                _add_deviations(
+                    draws, centers[pts - start], unif, budgets[pts], bases, pi_dist, d_box
+                )
+                ok = inside(draws)
                 hits = ok.sum(axis=1)
-                slots = kept[pts, None] + np.cumsum(ok, axis=1) - 1
-                out[np.repeat(pts, hits), slots[ok]] = batch[ok]
+                if not (in_place and ok.all()):
+                    # Each point's kept rows, in draw order, go after those it
+                    # holds; draws[ok] is gathered before the scatter.
+                    slots = kept[pts, None] + np.cumsum(ok, axis=1) - 1
+                    out[np.repeat(pts, hits), slots[ok]] = draws[ok]
                 kept[pts] += hits
                 drawn[pts] += chunk
         if not kept[block].all():

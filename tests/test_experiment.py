@@ -109,6 +109,24 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             synthetic_defaults(k_intrinsic=30).validate()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("i_max", 2.5), ("per_point", 2.0), ("reps", True), ("seed", 3.0), ("cells", 24.0),
+         ("n_points", "150"), ("max_draw_factor", False), ("jobs", None)],
+    )
+    def test_int_fields_must_be_integers(self, field, value):
+        # A library caller bypasses from_dict's coercion; a non-integral or
+        # boolean int field is a config error, not a failure inside the run.
+        make = thermal_defaults if field == "cells" else synthetic_defaults
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer"):
+            make(**{field: value}).validate()
+
+    @pytest.mark.parametrize("field", ["seed", "cells", "n_points", "reps"])
+    def test_numpy_integer_fields_accepted(self, field):
+        make = thermal_defaults if field == "cells" else synthetic_defaults
+        default = getattr(make(), field)
+        make(**{field: np.int64(default)}).validate()
+
     def test_from_dict_coerces_strings(self):
         cfg = RunConfig.from_dict({"setup": "2", "seed": "9", "d_box": "2.5", "pi": "mixture"})
         assert cfg.setup == 2 and cfg.seed == 9 and cfg.d_box == 2.5

@@ -110,3 +110,14 @@ def test_sampler_peak_is_a_few_point_blocks(sampler_peaks, n_factors):
     small, large = sampler_peaks[n_factors, 128], sampler_peaks[n_factors, 256]
     assert large < 7, (small, large)
     assert large - small < 1, (small, large)
+
+
+@pytest.mark.parametrize("n_factors", [1, 11])
+def test_sampler_draws_in_place(sampler_peaks, n_factors):
+    # A block's first round is drawn in place in its output rows, so no round
+    # holds a Gaussian array, a batch of centers and a gathered copy of the
+    # kept draws at once.  Drawing into a separate batch reads 4.2 (one tube)
+    # and 6.1 (eleven) blocks here; in place reads 2.7 and 4.1.
+    limit = {1: 3.2, 11: 4.6}[n_factors]
+    peaks = [sampler_peaks[n_factors, n_points] for n_points in (128, 256)]
+    assert max(peaks) < limit, peaks

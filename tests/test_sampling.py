@@ -235,6 +235,10 @@ class TestSampleSlice:
             sample_slice(sl, 0)
         with pytest.raises(ContractViolation):
             sample_slice(sl, 5, d_box=-1.0)
+        for bad in (2.5, 3.0, True, "3"):
+            with pytest.raises(ContractViolation, match="^n_samples must be an integer"):
+                sample_slice(sl, bad)
+        assert len(sample_slice(sl, np.int64(3))) == 3
 
 
     @pytest.mark.parametrize("kind", ["uniform-beta", "mixture"])
@@ -445,6 +449,14 @@ class TestSampleSliceMulti:
             sample_slice_multi(obs, prior, 3, 10, bases=sb)
         with pytest.raises(ContractViolation):
             sample_slice_multi(obs, prior, 2, 0, bases=sb)
+        for bad in (2.5, True):
+            with pytest.raises(ContractViolation, match="^n_samples must be an integer"):
+                sample_slice_multi(obs, prior, 2, bad, bases=sb)
+        for bad in (25.5, 30.0, True):
+            with pytest.raises(ContractViolation, match="^max_draws must be an integer"):
+                sample_slice_multi(obs, prior, 2, 10, max_draws=bad, bases=sb)
+        res = sample_slice_multi(obs, prior, 2, np.int64(3), max_draws=np.int64(300), bases=sb)
+        assert res.n_accepted == 3
 
     def test_draw_budget_below_sample_count_is_rejected(self, rng):
         # A budget that cannot cover n_samples is an argument error, reported
@@ -572,6 +584,28 @@ class TestSamplePosterior:
             assert not all(c.complete for c in calls) and all(c.n_accepted for c in calls)
             assert len({c.n_draws for c in calls} - {6, max_draws}) >= 2
 
+    def test_first_round_rejections_equal_per_point_calls(self):
+        # A block's first round is drawn in place in the output rows; a point
+        # that rejects part or all of it moves its kept rows to the front and
+        # draws again into a buffer.  Its first round alone is a draw from the
+        # reference tube by itself, on the same stream, so the rows it keeps
+        # must open the point's samples.  The 40 points span two blocks.
+        w, prior, cloud = _nested_prior_case(4243, 6, 8, 2, 5, 0, (0.9, 0.45, 0.3), 0.2)
+        ref = PriorManifold(prior.ellipsoids[-1:])
+        inside = sampling._within_tubes(list(prior.ellipsoids[:-1]))
+        calls = _per_point_calls(w, prior, cloud, 3, None)
+        batch = sample_posterior(cloud, w, prior, 6, PiDistribution.mixture(), 0.5, seed=77)
+        assert np.array_equal(batch.vectors, np.vstack([c.samples.vectors for c in calls]))
+        assert len(cloud) > sampling._BLOCK_POINTS and all(c.complete for c in calls)
+
+        first = _per_point_calls(w, ref, cloud, 1, None)
+        hits = []
+        for i, c in enumerate(first):
+            ok = inside(c.samples.vectors[None])[0]
+            hits.append(int(ok.sum()))
+            assert np.array_equal(batch.vectors[6 * i : 6 * i + hits[-1]], c.samples.vectors[ok])
+        assert 0 in hits and any(0 < k < 6 for k in hits)
+
     def test_non_nested_tubes(self):
         # The reference tube around V (last, the default) and two other tubes,
         # around A = span(v_1, v_2, x) and B = span(v_1, y): B does not lie in
@@ -693,8 +727,9 @@ class TestSamplePosterior:
     @pytest.mark.parametrize(
         "n_samples, d_box, seed",
         [(0, 1.0, 0), (3, -1.0, 0), (3, np.nan, 0), (3, np.inf, 0), (3, -np.inf, 0),
-         (3, 1.0, -1), (3, 1.0, 1.5)],
-        ids=["0-1.0", "3--1.0", "3-nan", "3-inf", "3--inf", "seed=-1", "seed=1.5"],
+         (3, 1.0, -1), (3, 1.0, 1.5), (2.5, 1.0, 0), (True, 1.0, 0)],
+        ids=["0-1.0", "3--1.0", "3-nan", "3-inf", "3--inf", "seed=-1", "seed=1.5", "2.5-1.0",
+             "True-1.0"],
     )
     @pytest.mark.parametrize("tubes", [1, 2])
     def test_arguments_are_checked_before_any_slice(self, tubes, n_samples, d_box, seed):
@@ -717,10 +752,16 @@ class TestSamplePosterior:
                 obs, prior, tubes, n_samples, d_box=d_box, rng=seed, bases=bases
             ),
             lambda: sample_slice(sl, n_samples, d_box=d_box, rng=seed),
+            lambda: sample_posterior(
+                SnapshotSet(h[None, :]), w, prior, n_samples, d_box=d_box, seed=seed,
+                max_draws_per_point=7.5,
+            ),
         ]
         for call in calls:
             with pytest.raises(
-                ContractViolation, match="^(n_samples|d_box) must be >= |^seed must be a non-neg"
+                ContractViolation,
+                match="^(n_samples|d_box) must be >= |^(n_samples|max_draws) must be an integer"
+                "|^seed must be a non-neg",
             ):
                 call()
 
