@@ -40,6 +40,12 @@ _NUMERICAL_ERRORS = (
     FloatingPointError,
 )
 
+_FLAG_HELP = {
+    "d_box": "half-width of the uniform deviations along the unobserved prior"
+    " directions; at most sqrt(float max / (4 n)), about 1.3e153 at the default"
+    " n = 25, so that the squared norms of posterior draws cannot overflow",
+}
+
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE", help="flat key = value config file")
@@ -50,7 +56,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         if f.name == "setup":
             continue
         flag = "--" + f.name.replace("_", "-")
-        parser.add_argument(flag, dest=f.name, default=None, metavar=f.name.upper())
+        parser.add_argument(
+            flag, dest=f.name, default=None, metavar=f.name.upper(), help=_FLAG_HELP.get(f.name)
+        )
 
 
 def _resolve_config(args: argparse.Namespace, setup: int) -> RunConfig:

@@ -25,6 +25,7 @@ import functools
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -105,6 +106,14 @@ class RunConfig:
             raise ConfigError(f"bad pi: {exc}") from exc
         if self.d_box < 0:
             raise ConfigError(f"d_box must be >= 0, got {self.d_box}")
+        # A posterior draw is a slice point plus up to n coordinates of size
+        # d_box.  n * d_box^2 <= float max / 4 keeps the draw's squared norm
+        # finite while the slice point's stays below a quarter of float max.
+        if self.d_box > (d_box_max := math.sqrt(sys.float_info.max / (4 * self.n))):
+            raise ConfigError(
+                f"d_box = {self.d_box} exceeds sqrt(float max / (4 n)) = {d_box_max:.6g}:"
+                " the squared norms of posterior draws would overflow"
+            )
         if self.n_factors > self.n:
             raise ConfigError(f"n_factors = {self.n_factors} exceeds n = {self.n}")
         if self.j_star and not 1 <= self.j_star <= self.n_factors:
@@ -118,6 +127,14 @@ class RunConfig:
                 raise ConfigError(f"cells must be an even integer >= 2, got {self.cells}")
             if self.t_steps < 1 or self.theta_min <= 0 or self.theta_step <= 0:
                 raise ConfigError("t_steps must be >= 1 and theta grid values positive")
+            top = float(self.theta_min) + float(self.theta_step) * int(self.t_steps)
+            if not math.isfinite(top):
+                raise ConfigError(
+                    f"the theta grid's top value theta_min + theta_step * t_steps overflows"
+                    f" ({self.theta_min} + {self.theta_step} * {self.t_steps})"
+                )
+            if self.flux == 0:
+                raise ConfigError("flux must be nonzero: a zero load makes every state zero")
             if self.relax_max < 16:
                 raise ConfigError(f"relax_max must be >= 16, got {self.relax_max}")
             if self.m > (ambient := self.cells * (self.cells + 1)):
@@ -256,28 +273,22 @@ def _held_curve(widths, i_max: int, dims=None) -> list[float]:
 
 
 def _build_bundle(cfg: RunConfig) -> WorldBundle:
-    # Each world gives its prior family and the cloud and width curve
-    # (dims 1..n) that the prior widths are measured on.
+    """The run's world, reduced to what the run reads of it.
+
+    Each world gives its target cloud, its prior family, and the prior widths
+    (dims 0..n) measured on the prior's source cloud.  The thermal source is
+    the relaxed cloud, about ten times the target cloud (4,473 x 600 at the
+    defaults); :func:`_thermal_world` reads it and returns, so it is freed
+    before the intrinsic space T is computed.
+    """
     if cfg.setup == 1:
-        model = ThermalBlockModel(cfg.cells)
-        world = build_thermal_world(
-            model,
-            theta_min=cfg.theta_min,
-            theta_step=cfg.theta_step,
-            t_steps=cfg.t_steps,
-            relax_max=cfg.relax_max,
-            n_prior=cfg.n,
-            flux=cfg.flux,
+        m_cloud, priors, prior_widths, v = _thermal_world(cfg)
+        w_sub = random_subspace(m_cloud.ambient_dim, cfg.m, derived_rng(cfg.seed, 11))
+        t_gr = greedy(
+            SnapshotSet((m_cloud.vectors @ v) @ v.T), StoppingRule(max_dim=cfg.k_intrinsic or 4)
         )
-        prior_manifold = world.prior_manifold
-        source, curve = world.relax_cloud, world.greedy_prior.error_curve[: world.n_prior]
-        w_sub = random_subspace(model.ambient_dim, cfg.m, derived_rng(cfg.seed, 11))
-        v = world.greedy_prior.subspace(world.n_prior).basis
-        proj = (world.m_cloud.vectors @ v) @ v.T
-        t_gr = greedy(SnapshotSet(proj), StoppingRule(max_dim=cfg.k_intrinsic or 4))
         t_sub = t_gr.subspace(t_gr.terminal_dim)
         name = "thermal"
-        m_cloud = world.m_cloud
     else:
         world = build_synthetic_world(
             ambient_dim=cfg.ambient,
@@ -289,25 +300,51 @@ def _build_bundle(cfg: RunConfig) -> WorldBundle:
             n_points=cfg.n_points,
             seed=cfg.seed,
         )
-        prior_manifold = functools.partial(world.prior_manifold, cfg.n)
-        source, curve = world.cloud, world.nested_width_curve(cfg.n)
+        m_cloud = world.cloud
+        priors = _priors(cfg, functools.partial(world.prior_manifold, cfg.n))
+        prior_widths = np.array([m_cloud.max_norm, *world.nested_width_curve(cfg.n)])
         w_sub = world.observation_subspace(cfg.m)
         t_sub = Subspace(world.v_tilde[:, : cfg.k_intrinsic or cfg.k_hat])
         name = "synthetic"
-        m_cloud = world.cloud
 
-    prior_single = prior_manifold(1)
+    prior_single, prior_multi = priors
     return WorldBundle(
         name=name,
         m_cloud=m_cloud,
         w_subspace=w_sub,
         prior_single=prior_single,
-        prior_multi=prior_manifold(cfg.n_factors) if cfg.n_factors > 1 else None,
-        prior_width_by_dim=np.array([source.max_norm, *curve]),
+        prior_multi=prior_multi,
+        prior_width_by_dim=prior_widths,
         t_subspace=t_sub,
         eps_intrinsic=empirical_width(m_cloud, t_sub),
         bases_single=compute_suitable_bases(prior_single.ellipsoids[0].subspace, w_sub),
     )
+
+
+def _priors(cfg: RunConfig, prior_manifold) -> tuple[PriorManifold, PriorManifold | None]:
+    """The single-ellipsoid prior and, for ``n_factors > 1``, the intersection prior."""
+    return prior_manifold(1), prior_manifold(cfg.n_factors) if cfg.n_factors > 1 else None
+
+
+def _thermal_world(
+    cfg: RunConfig,
+) -> tuple[SnapshotSet, tuple[PriorManifold, PriorManifold | None], np.ndarray, np.ndarray]:
+    """The thermal world's target cloud, priors, prior widths (dims 0..n) and
+    prior basis V.  Nothing returned refers to the world, so its relaxed cloud
+    dies with this call."""
+    world = build_thermal_world(
+        ThermalBlockModel(cfg.cells),
+        theta_min=cfg.theta_min,
+        theta_step=cfg.theta_step,
+        t_steps=cfg.t_steps,
+        relax_max=cfg.relax_max,
+        n_prior=cfg.n,
+        flux=cfg.flux,
+    )
+    gr = world.greedy_prior
+    widths = np.array([world.relax_cloud.max_norm, *gr.error_curve[: world.n_prior]])
+    v = gr.subspace(world.n_prior).basis
+    return world.m_cloud, _priors(cfg, world.prior_manifold), widths, v
 
 
 def posterior_cloud(
@@ -368,27 +405,44 @@ def _run_rep(
     gr_perf: GreedyResult,
     gr_point: GreedyResult,
 ) -> tuple[list[CurveRecord], dict]:
-    stop = StoppingRule(max_dim=cfg.i_max)
+    """One repetition's curves: a posterior cloud per prior, drawn and reduced
+    by :func:`_posterior_records`, so each cloud is freed before the next is
+    drawn."""
     info: dict = {}
     records: list[CurveRecord] = []
-
-    def widths(gr: GreedyResult, cloud: SnapshotSet) -> list[float]:
-        return nested_width_curve_from_greedy(gr, cloud, cfg.i_max)
-
     for kind, prior, stream in (("single", bundle.prior_single, 21), ("multi", bundle.prior_multi, 22)):
         if prior is None:
             continue
-        cloud = posterior_cloud(cfg, bundle, prior, derived_seed(cfg.seed, stream, rep))
-        gr = greedy(cloud, stop)
-        records += _curve_records(f"post_{kind}", rep, "M", widths(gr, bundle.m_cloud))
-        own = _held_curve([cloud.max_norm, *gr.error_curve], cfg.i_max)
-        records += _curve_records(f"post_{kind}", rep, "Mpost", own)
-        if kind == "single":
-            # The deterministic families are judged against this repetition's cloud.
-            records += _curve_records("perf", rep, "Mpost", widths(gr_perf, cloud))
-            records += _curve_records("point", rep, "Mpost", widths(gr_point, cloud))
-        info[f"n_posterior_{kind}"] = len(cloud)
+        # The deterministic families are judged against this repetition's cloud.
+        judged = {"perf": gr_perf, "point": gr_point} if kind == "single" else {}
+        kind_records, info[f"n_posterior_{kind}"] = _posterior_records(
+            cfg, bundle, rep, kind, prior, derived_seed(cfg.seed, stream, rep), judged
+        )
+        records += kind_records
     return records, info
+
+
+def _posterior_records(
+    cfg: RunConfig,
+    bundle: WorldBundle,
+    rep: int,
+    kind: str,
+    prior: PriorManifold,
+    seed: int,
+    judged: dict[str, GreedyResult],
+) -> tuple[list[CurveRecord], int]:
+    """The ``post_<kind>`` curves of one posterior cloud and its size, plus
+    the ``Mpost`` curve of each method in ``judged`` against that cloud."""
+    cloud = posterior_cloud(cfg, bundle, prior, seed)
+    gr = greedy(cloud, StoppingRule(max_dim=cfg.i_max))
+    widths = nested_width_curve_from_greedy(gr, bundle.m_cloud, cfg.i_max)
+    records = _curve_records(f"post_{kind}", rep, "M", widths)
+    own = _held_curve([cloud.max_norm, *gr.error_curve], cfg.i_max)
+    records += _curve_records(f"post_{kind}", rep, "Mpost", own)
+    for method, gr_method in judged.items():
+        widths = nested_width_curve_from_greedy(gr_method, cloud, cfg.i_max)
+        records += _curve_records(method, rep, "Mpost", widths)
+    return records, len(cloud)
 
 
 def run_experiment(cfg: RunConfig) -> ExperimentResult:
@@ -400,10 +454,13 @@ def run_experiment(cfg: RunConfig) -> ExperimentResult:
     gr_perf = greedy(bundle.m_cloud, stop)
     own = _held_curve([bundle.m_cloud.max_norm, *gr_perf.error_curve], cfg.i_max)
     records += _curve_records("perf", 0, "M", own)
-    est_cloud = estimate_manifold(
-        bundle.m_cloud, bundle.w_subspace, bundle.prior_single, bundle.bases_single
+    # The point-estimate cloud is read by its greedy alone, so it is never named.
+    gr_point = greedy(
+        estimate_manifold(
+            bundle.m_cloud, bundle.w_subspace, bundle.prior_single, bundle.bases_single
+        ),
+        stop,
     )
-    gr_point = greedy(est_cloud, stop)
     records += _curve_records(
         "point", 0, "M", nested_width_curve_from_greedy(gr_point, bundle.m_cloud, cfg.i_max)
     )

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -20,6 +21,14 @@ def tiny_setup2_args(out_dir):
         "--ambient", "24", "--n-max", "10", "--k-hat", "2", "--delta", "1e-2",
         "--m", "6", "--n", "6", "--n-points", "6", "--per-point", "2",
         "--reps", "1", "--i-max", "5", "--seed", "7",
+    ]
+
+
+def tiny_setup1_args(out_dir):
+    return [
+        "setup1", "--out", str(out_dir),
+        "--cells", "4", "--t-steps", "3", "--relax-max", "16", "--m", "4", "--n", "8",
+        "--reps", "1", "--i-max", "10", "--per-point", "2",
     ]
 
 
@@ -239,6 +248,39 @@ class TestRunCommands:
         assert main(args(tmp_path / "bad", ambient + 1)) == 2
         assert f"i_max = {ambient + 1} exceeds the ambient dimension {ambient}" in capsys.readouterr().err
         assert not (tmp_path / "bad" / "curves.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--flux", "0", "flux must be nonzero"),
+            ("--theta-step", "1e308", "the theta grid's top value"),
+            ("--d-box", "1e154", "d_box = 1e+154 exceeds sqrt(float max / (4 n))"),
+        ],
+        ids=["zero-flux", "theta-grid-overflow", "d-box-overflow"],
+    )
+    def test_degenerate_setup1_value_exits_config(self, tmp_path, capsys, flag, value, message):
+        # A zero load makes every state zero; the others overflow the theta
+        # grid or the squared norms of the posterior draws.
+        out = tmp_path / "run"
+        assert main(tiny_setup1_args(out) + [flag, value]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "curves.csv").exists()
+
+    def test_largest_admitted_d_box_writes_finite_curves(self, tmp_path):
+        # n = 8 prior directions, 4 of them observed: the draws' deviations
+        # reach about 2 d_box in norm, and no operation may warn of overflow.
+        d_box_max = math.sqrt(sys.float_info.max / (4 * 8))
+        out = tmp_path / "run"
+        assert main(tiny_setup1_args(out) + ["--d-box", repr(d_box_max)]) == 0
+        rows = [line.split(",") for line in (out / "curves.csv").read_text().splitlines()[1:]]
+        mpost = [float(value) for method, _, _, target, value in rows if target == "Mpost"]
+        assert {method for method, _, _, target, _ in rows if target == "Mpost"} == {
+            "perf", "point", "post_single"
+        }
+        assert all(math.isfinite(v) for v in mpost)
+        assert max(mpost) > d_box_max
+        above = repr(float(np.nextafter(d_box_max, math.inf)))
+        assert main(tiny_setup1_args(tmp_path / "bad") + ["--d-box", above]) == 2
 
     def test_manifest_setup_mismatch(self, tmp_path, capsys):
         run2 = tmp_path / "run2"

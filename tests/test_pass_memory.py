@@ -3,7 +3,8 @@
 The passes are a cloud's finiteness check (``SnapshotSet``), its largest norm,
 the nested-prefix widths and greedy.  The posterior sampler likewise holds
 temporaries of a few point blocks (``sampling._BLOCK_POINTS`` points) beyond
-its output.
+its output, and a run holds one posterior cloud at a time and frees the
+thermal relaxed cloud once the prior is read off it.
 
 ``tracemalloc`` sees numpy's array allocations, so the peak it records inside
 a call is the memory the call's arrays took on top of its inputs.  The bound
@@ -13,16 +14,24 @@ brings back a temporary the size of the cloud fails here.
 """
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+import partialrom.experiment as experiment
 from conftest import random_orthonormal
+from partialrom.experiment import (
+    _build_bundle,
+    run_experiment,
+    synthetic_defaults,
+    thermal_defaults,
+)
 from partialrom.geometry import _PASS_ROWS, SnapshotSet, prefix_widths
 from partialrom.greedy import StoppingRule, greedy
 from partialrom.rng import derived_rng
 from partialrom.sampling import _BLOCK_POINTS, sample_posterior
-from partialrom.worlds import build_synthetic_world
+from partialrom.worlds import build_synthetic_world, build_thermal_world
 
 AMBIENT = 300
 MAX_DIM = 10
@@ -38,6 +47,17 @@ def _peak_bytes(call) -> int:
         tracemalloc.reset_peak()
         call()
         return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def _retained_bytes(call) -> int:
+    """Traced memory still held after ``call()`` above what was traced before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
 
@@ -121,3 +141,44 @@ def test_sampler_draws_in_place(sampler_peaks, n_factors):
     limit = {1: 3.2, 11: 4.6}[n_factors]
     peaks = [sampler_peaks[n_factors, n_points] for n_points in (128, 256)]
     assert max(peaks) < limit, peaks
+
+
+def test_run_holds_one_posterior_cloud_at_a_time():
+    # Two factors, so each repetition draws two clouds; each 256 x 5 x 200
+    # cloud (2 MB) is eight point blocks.  The peak is the bundle, one cloud,
+    # greedy's few numbers per row of it and 3.5 blocks of scratch.  Holding
+    # the point-estimate cloud (256 x 200) through the repetitions reads 5.1
+    # blocks, and the single-tube cloud while the multi-tube one is drawn 11.5.
+    cfg = synthetic_defaults(n_factors=2, n_points=256, per_point=PER_POINT, reps=2, seed=3)
+    run_experiment(cfg)  # warm-up: first-use caches are not the run's arrays
+    bundles = []
+    bundle_bytes = _retained_bytes(lambda: bundles.append(_build_bundle(cfg)))
+    rows = cfg.n_points * PER_POINT
+    cloud_bytes = rows * cfg.ambient * 8
+    greedy_rows = rows * (cfg.i_max + 4) * 8
+    block_bytes = _BLOCK_POINTS * PER_POINT * cfg.ambient * 8
+    peak = _peak_bytes(lambda: run_experiment(cfg))
+    extra_blocks = (peak - bundle_bytes - cloud_bytes - greedy_rows) / block_bytes
+    assert extra_blocks < 4.5, extra_blocks
+
+
+def test_thermal_relaxed_cloud_is_freed_before_the_t_greedy(monkeypatch):
+    # The relaxed cloud is about ten times the target cloud at the defaults;
+    # once its widths and the priors are read, nothing of the run refers to it.
+    refs, alive_at_greedy = [], []
+
+    def build_world(*args, **kwargs):
+        world = build_thermal_world(*args, **kwargs)
+        refs.append(weakref.ref(world.relax_cloud.vectors))
+        return world
+
+    def traced_greedy(*args, **kwargs):
+        alive_at_greedy.append(refs[0]() is not None)
+        return greedy(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "build_thermal_world", build_world)
+    monkeypatch.setattr(experiment, "greedy", traced_greedy)
+    cfg = thermal_defaults(cells=4, t_steps=3, relax_max=16, m=4, n=8, reps=1, i_max=10,
+                           per_point=2, seed=3)
+    _build_bundle(cfg)
+    assert alive_at_greedy == [False]

@@ -15,10 +15,15 @@ work.  P pairs of processes run (``--procs``); the parent goes first in even
 pairs and the change in odd ones.
 
 One CSV row per process gives its ``ru_maxrss`` in MB, its median operation
-time in ms, and the median and largest count of minor page faults of one
+time in ms, the median and largest count of minor page faults of one
 operation from the third on (the first two load the imports and warm the
-allocator).  A summary follows with, per column, the parent and change
-medians and how many pairs read lower on the change side.  Exits 1, with one
+allocator), and the ``tracemalloc`` peak in MB of one more operation (seed
+FIRST + K) run after the K timed ones and after ``ru_maxrss`` is read, so
+no other column sees the tracing.  Unlike ``ru_maxrss`` and the fault
+counts, that peak counts the operation's own allocations only, whatever the
+allocator keeps or returns to the system.  A summary follows with, per
+column, the parent and change medians and how many pairs read lower on the
+change side.  Exits 1, with one
 line on stderr, if a process fails or its last line is not a JSON result.
 """
 
@@ -39,10 +44,10 @@ THREAD_ENV = (
 )
 #: Operations whose faults are left out of a process's fault columns.
 WARM_OPS = 2
-COLUMNS = ("maxrss_mb", "op_ms", "faults_med", "faults_max")
+COLUMNS = ("maxrss_mb", "op_ms", "faults_med", "faults_max", "traced_peak_mb")
 
 _CHILD = """
-import json, resource, sys, tempfile, time
+import json, resource, sys, tempfile, time, tracemalloc
 from pathlib import Path
 sys.path[:0] = ["src", "perfbench"]
 import partialrom
@@ -60,8 +65,14 @@ with tempfile.TemporaryDirectory() as out_dir:
         run_experiment(cfg).write(Path(out_dir))
         op_ms.append(1e3 * (time.perf_counter() - t0))
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-maxrss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps({"maxrss_mb": maxrss_mb, "op_ms": op_ms, "faults": faults}))
+    maxrss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    cfg = WORKLOADS[workload].make_inputs(first + ops, tiny)
+    tracemalloc.start()
+    run_experiment(cfg).write(Path(out_dir))
+    traced_peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    tracemalloc.stop()
+print(json.dumps({"maxrss_mb": maxrss_mb, "op_ms": op_ms, "faults": faults,
+                  "traced_peak_mb": traced_peak_mb}))
 """
 
 
@@ -80,14 +91,16 @@ def run_process(checkout: Path, workload: str, size: str, first_seed: int, ops: 
 
 
 def process_row(result: dict) -> dict[str, float]:
-    """A process's columns: ``ru_maxrss`` (MB), median operation time (ms), and
-    the median and largest fault count of the operations after ``WARM_OPS``."""
+    """A process's columns: ``ru_maxrss`` (MB), median operation time (ms), the
+    median and largest fault count of the operations after ``WARM_OPS``, and
+    the traced peak (MB) of the extra operation."""
     faults = result["faults"][WARM_OPS:]
     return {
         "maxrss_mb": result["maxrss_mb"],
         "op_ms": statistics.median(result["op_ms"]),
         "faults_med": statistics.median(faults),
         "faults_max": max(faults),
+        "traced_peak_mb": result["traced_peak_mb"],
     }
 
 
