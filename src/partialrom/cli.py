@@ -27,6 +27,7 @@ from .errors import ConfigError, ContractViolation, EmptySliceError, InfeasibleG
 from .experiment import RunConfig, _build_bundle, posterior_cloud, run_experiment
 from .geometry import SnapshotSet
 from .rng import derived_rng, derived_seed
+from .sampling import d_box_limit
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -42,8 +43,8 @@ _NUMERICAL_ERRORS = (
 
 _FLAG_HELP = {
     "d_box": "half-width of the uniform deviations along the unobserved prior"
-    " directions; at most sqrt(float max / (4 n)), about 1.3e153 at the default"
-    " n = 25, so that the squared norms of posterior draws cannot overflow",
+    f" directions; at most sqrt(float max / (4 n)), {d_box_limit(RunConfig.n):.2g} at the default"
+    f" n = {RunConfig.n}, so that the squared norms of posterior draws cannot overflow",
 }
 
 
@@ -182,9 +183,9 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     cloud = bundle.m_cloud
     if args.max_points and len(cloud) > args.max_points:
         idx = np.linspace(0, len(cloud) - 1, args.max_points).round().astype(int)
-        cloud = SnapshotSet(cloud.vectors[np.unique(idx)])
+        bundle = dataclasses.replace(bundle, m_cloud=SnapshotSet(cloud.vectors[np.unique(idx)]))
     prior = bundle.prior_multi if args.multi else bundle.prior_single
-    samples = posterior_cloud(cfg, bundle, prior, derived_seed(cfg.seed, 41), cloud)
+    samples = posterior_cloud(cfg, bundle, prior, derived_seed(cfg.seed, 41))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     header = "sample," + ",".join(f"c{j}" for j in range(samples.ambient_dim))

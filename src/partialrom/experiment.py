@@ -25,7 +25,6 @@ import functools
 import json
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,7 +41,7 @@ from .estimate import estimate_manifold
 from .geometry import PriorManifold, SnapshotSet, Subspace, prefix_widths
 from .greedy import GreedyResult, StoppingRule, greedy
 from .rng import derived_rng, derived_seed
-from .sampling import PiDistribution, sample_posterior
+from .sampling import PiDistribution, d_box_limit, sample_posterior
 from .thermal import ThermalBlockModel
 from .worlds import (
     build_synthetic_world,
@@ -106,10 +105,7 @@ class RunConfig:
             raise ConfigError(f"bad pi: {exc}") from exc
         if self.d_box < 0:
             raise ConfigError(f"d_box must be >= 0, got {self.d_box}")
-        # A posterior draw is a slice point plus up to n coordinates of size
-        # d_box.  n * d_box^2 <= float max / 4 keeps the draw's squared norm
-        # finite while the slice point's stays below a quarter of float max.
-        if self.d_box > (d_box_max := math.sqrt(sys.float_info.max / (4 * self.n))):
+        if self.d_box > (d_box_max := d_box_limit(self.n)):
             raise ConfigError(
                 f"d_box = {self.d_box} exceeds sqrt(float max / (4 n)) = {d_box_max:.6g}:"
                 " the squared norms of posterior draws would overflow"
@@ -348,19 +344,13 @@ def _thermal_world(
 
 
 def posterior_cloud(
-    cfg: RunConfig,
-    bundle: WorldBundle,
-    prior: PriorManifold,
-    seed: int,
-    m_cloud: SnapshotSet | None = None,
+    cfg: RunConfig, bundle: WorldBundle, prior: PriorManifold, seed: int
 ) -> SnapshotSet:
-    """Posterior samples of ``m_cloud`` (default: the world's manifold cloud)
-    under ``prior``, drawn with the run's sampler settings.
-
-    ``cfg.j_star`` picks the reference factor of a multi-factor prior.
-    """
+    """Posterior samples of ``bundle.m_cloud`` under ``prior``, drawn with the
+    run's sampler settings; ``cfg.j_star`` picks the reference factor of a
+    multi-factor prior."""
     return sample_posterior(
-        bundle.m_cloud if m_cloud is None else m_cloud,
+        bundle.m_cloud,
         bundle.w_subspace,
         prior,
         cfg.per_point,
@@ -398,30 +388,6 @@ def _curve_records(method: str, rep: int, target: str, values) -> list[CurveReco
     return [CurveRecord(method, rep, i, target, float(v)) for i, v in enumerate(values)]
 
 
-def _run_rep(
-    cfg: RunConfig,
-    bundle: WorldBundle,
-    rep: int,
-    gr_perf: GreedyResult,
-    gr_point: GreedyResult,
-) -> tuple[list[CurveRecord], dict]:
-    """One repetition's curves: a posterior cloud per prior, drawn and reduced
-    by :func:`_posterior_records`, so each cloud is freed before the next is
-    drawn."""
-    info: dict = {}
-    records: list[CurveRecord] = []
-    for kind, prior, stream in (("single", bundle.prior_single, 21), ("multi", bundle.prior_multi, 22)):
-        if prior is None:
-            continue
-        # The deterministic families are judged against this repetition's cloud.
-        judged = {"perf": gr_perf, "point": gr_point} if kind == "single" else {}
-        kind_records, info[f"n_posterior_{kind}"] = _posterior_records(
-            cfg, bundle, rep, kind, prior, derived_seed(cfg.seed, stream, rep), judged
-        )
-        records += kind_records
-    return records, info
-
-
 def _posterior_records(
     cfg: RunConfig,
     bundle: WorldBundle,
@@ -432,7 +398,8 @@ def _posterior_records(
     judged: dict[str, GreedyResult],
 ) -> tuple[list[CurveRecord], int]:
     """The ``post_<kind>`` curves of one posterior cloud and its size, plus
-    the ``Mpost`` curve of each method in ``judged`` against that cloud."""
+    the ``Mpost`` curve of each method in ``judged`` against that cloud, which
+    dies with this call, before the rep loop draws the next one."""
     cloud = posterior_cloud(cfg, bundle, prior, seed)
     gr = greedy(cloud, StoppingRule(max_dim=cfg.i_max))
     widths = nested_width_curve_from_greedy(gr, bundle.m_cloud, cfg.i_max)
@@ -490,10 +457,20 @@ def run_experiment(cfg: RunConfig) -> ExperimentResult:
     records += _curve_records("bound_dbar", 0, "bound", bound.d_bar)
     records += _curve_records("bound_dbarbar", 0, "bound", bound.d_bbar)
 
+    # One posterior cloud per prior and repetition; the deterministic families
+    # are judged against each single-tube cloud.
+    kinds = (("single", bundle.prior_single, 21), ("multi", bundle.prior_multi, 22))
     rep_infos: list[dict] = []
     for rep in range(cfg.reps):
-        rep_records, info = _run_rep(cfg, bundle, rep, gr_perf, gr_point)
-        records += rep_records
+        info: dict = {}
+        for kind, prior, stream in kinds:
+            if prior is None:
+                continue
+            judged = {"perf": gr_perf, "point": gr_point} if kind == "single" else {}
+            kind_records, info[f"n_posterior_{kind}"] = _posterior_records(
+                cfg, bundle, rep, kind, prior, derived_seed(cfg.seed, stream, rep), judged
+            )
+            records += kind_records
         rep_infos.append(info)
 
     records.sort(key=lambda r: (r.method, r.target, r.rep, r.i))

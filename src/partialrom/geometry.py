@@ -221,10 +221,6 @@ class PriorManifold:
     def n_factors(self) -> int:
         return len(self.ellipsoids)
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.ellipsoids[0].ambient_dim
-
     def factor(self, j: int) -> DegenerateEllipsoid:
         """Factor ``j``, counted from 1."""
         if not 1 <= j <= self.n_factors:

@@ -186,18 +186,6 @@ def _check_bases(bases: SuitableBases, prior: DegenerateEllipsoid, w: Subspace |
             raise ContractViolation(f"bases were not computed from the {name} subspace")
 
 
-def _slice_error(message: str, point: int | None = None) -> EmptySliceError:
-    """An :class:`EmptySliceError` that names manifold point ``point``, if given."""
-    return EmptySliceError(message if point is None else f"manifold point {point}: {message}")
-
-
-def _negative_budget(budget: float) -> str:
-    return (
-        f"slice has negative squared budget {budget:.3e}; "
-        "the observation is inconsistent with the prior"
-    )
-
-
 def build_slice(obs: Observation, prior: DegenerateEllipsoid, bases: SuitableBases) -> EllipsoidSlice:
     """Characterize the slice of ``prior`` cut out by ``obs``.
 
@@ -333,6 +321,14 @@ def _draw_limit(n_samples: int, max_draws: int | None) -> int:
     return max_draws
 
 
+def d_box_limit(n: int) -> float:
+    """sqrt(float max / (4 n)), the largest ``d_box`` for a prior of dimension
+    ``n``.  A posterior draw is a slice point plus up to n coordinates of size
+    d_box: n d_box^2 <= float max / 4 keeps its squared norm finite while the
+    slice point's stays below a quarter of float max."""
+    return float(np.sqrt(np.finfo(float).max / (4 * n)))
+
+
 def _within_tubes(factors: list[DegenerateEllipsoid]):
     """The acceptance test of the rejection loop: a function of draws
     (points, chunk, N) that is True where a draw lies within every one of
@@ -377,9 +373,9 @@ def _rejection_sample(
     """Rejection-sample the posterior of every row of w*-coefficients
     ``a_star`` (one row per manifold point) under ``prior``.
 
-    ``n_samples``, ``max_draws`` (see :func:`_draw_limit`) and ``d_box``
-    (finite, >= 0) are checked before any slice is looked at.  Point i draws
-    from ``streams.open(i)`` in the reference factor ``j_star``'s slice:
+    ``n_samples``, ``max_draws`` (see :func:`_draw_limit`) and ``d_box`` (in
+    [0, :func:`d_box_limit`]) are checked before any slice is looked at.  Point
+    i draws from ``streams.open(i)`` in the reference factor ``j_star``'s slice:
     ``n_samples`` first, then what it still lacks, until it holds
     ``n_samples`` or has drawn ``max_draws``; with other factors, each point's
     stream is held after every draw for its next round.  A draw is kept iff it
@@ -403,8 +399,11 @@ def _rejection_sample(
     naming the point if ``name_points``.
     """
     max_draws = _draw_limit(n_samples, max_draws)
-    if not 0 <= d_box < np.inf:
-        raise ContractViolation(f"d_box must be >= 0 and finite, got {d_box}")
+    limit = d_box_limit(bases.n)
+    if not 0 <= d_box <= limit:
+        raise ContractViolation(
+            f"d_box must be >= 0 and at most d_box_limit({bases.n}) = {limit:.6g}, got {d_box}"
+        )
     pi_dist = pi_dist or PiDistribution.uniform_beta()
     ref = prior.factor(j_star)
     others = [e for i, e in enumerate(prior.ellipsoids) if i != j_star - 1]
@@ -467,12 +466,13 @@ def _rejection_sample(
             )
         warnings.warn(message, PartialSampleWarning, stacklevel=3)
     if fail < n_points:
-        point = fail if name_points else None
-        if not drawn[fail]:
-            raise _slice_error(_negative_budget(budgets[fail]), point)
-        raise _slice_error(
-            f"no draw out of {drawn[fail]} satisfied all {prior.n_factors} prior factors", point
+        message = (
+            f"no draw out of {drawn[fail]} satisfied all {prior.n_factors} prior factors"
+            if drawn[fail]
+            else f"slice has negative squared budget {budgets[fail]:.3e}; "
+            "the observation is inconsistent with the prior"
         )
+        raise EmptySliceError(f"manifold point {fail}: {message}" if name_points else message)
     return out[(np.arange(n_samples) < kept[:, None]).ravel()], kept, drawn
 
 

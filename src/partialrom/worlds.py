@@ -119,7 +119,6 @@ def relaxed_theta_grid(
 class ThermalWorld:
     """Solved clouds plus the greedy run that defines the prior family."""
 
-    model: ThermalBlockModel
     m_cloud: SnapshotSet
     m_thetas: np.ndarray
     relax_cloud: SnapshotSet
@@ -172,7 +171,6 @@ def build_thermal_world(
     relax_cloud = SnapshotSet(relax_states)
     gr = greedy(relax_cloud, StoppingRule(max_dim=n_prior))
     return ThermalWorld(
-        model=model,
         m_cloud=SnapshotSet(m_states),
         m_thetas=m_thetas,
         relax_cloud=relax_cloud,

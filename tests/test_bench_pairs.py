@@ -108,16 +108,21 @@ args = sys.argv[1:]
 seed = int(args[args.index("--seed") + 1])
 side = json.loads(pathlib.Path("side.json").read_text())
 print("noise")
+if "curves" in side:
+    print("RECORD " + json.dumps({"seed": seed, "curves_sha256": side["curves"][seed - 1]}))
 print(json.dumps({"correct": True, "attempted": side["attempted"] + seed, "failed": 0,
                   "metrics": {"peak_rss_mb": {"value": side["rss"], "unit": "MB"}}}))
 """
 
 
 def test_main_prints_attempted_operations_and_verdicts(tmp_path, capsys):
-    for side, attempted, rss in (("parent", 100, 50.0), ("change", 150, 45.0)):
+    # Pair 0 wrote the same curves.csv on both sides, pair 1 did not.
+    sides = (("parent", 100, 50.0, ["aa"], ["bb"]), ("change", 150, 45.0, ["aa"], ["cc"]))
+    for side, attempted, rss, *curves in sides:
         (tmp_path / side / "perfbench").mkdir(parents=True)
         (tmp_path / side / "perfbench" / "run.py").write_text(_FAKE_RUN)
-        (tmp_path / side / "side.json").write_text(json.dumps({"attempted": attempted, "rss": rss}))
+        (tmp_path / side / "side.json").write_text(
+            json.dumps({"attempted": attempted, "rss": rss, "curves": curves}))
     (tmp_path / "parent" / "BENCHMARK.json").write_text(json.dumps(
         {"end_to_end": [{"name": "peak_rss_mb", "better": "lower", "bound": 0.15}]}))
     code = bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
@@ -125,10 +130,20 @@ def test_main_prints_attempted_operations_and_verdicts(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert code == 0
     assert lines[:3] == [
-        "pair,seed,first,attempted_ops,failed_ops,peak_rss_mb",
-        "0,1,parent,101/151,0/0,0.900",
-        "1,2,change,102/152,0/0,0.900",
+        "pair,seed,first,attempted_ops,failed_ops,curves,peak_rss_mb",
+        "0,1,parent,101/151,0/0,same,0.900",
+        "1,2,change,102/152,0/0,differs,0.900",
     ]
     assert lines[3].split(",")[-5:] == ["pairs_below_1", "pairs_better", "claim", "bound",
                                         "beyond_bound"]
     assert lines[4].split(",")[-5:] == ["2/2", "2/2", "yes", "0.15", "no"]
+
+
+def test_a_run_without_a_record_line_has_no_curves_verdict(tmp_path, capsys):
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(_FAKE_RUN)
+        (tmp_path / side / "side.json").write_text(json.dumps({"attempted": 1, "rss": 1.0}))
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                             "--workload", "thermal", "--pairs", "1", "--seconds", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "0,1,parent,2/2,0/0,-,1.000"

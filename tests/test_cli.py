@@ -98,6 +98,10 @@ class TestBounds:
         assert rows[0][1] == math.inf
         assert_allclose(rows[1][1], 0.51, rtol=1e-12)
         assert_allclose(rows[2][1], 0.5, rtol=1e-12)
+        # Orthogonal: q = 0, so k* = n = 2: inf below n, then eps'.
+        assert main(args[:-3] + ["orthogonal", "--i-max", "3"]) == 0
+        rows = self.parse(capsys.readouterr().out)
+        assert [r[1] for r in rows] == [math.inf, math.inf, 0.5, 0.5]
 
     def test_sigma_mode_random_is_seeded(self, capsys):
         args = [

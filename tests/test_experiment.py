@@ -108,6 +108,21 @@ class TestRunConfig:
             synthetic_defaults(n=4, k_hat=5).validate()
         with pytest.raises(ConfigError):
             synthetic_defaults(k_intrinsic=30).validate()
+        bad = [
+            (synthetic_defaults(k_intrinsic=-1), "k_intrinsic and jobs must be >= 0"),
+            (thermal_defaults(jobs=-1), "k_intrinsic and jobs must be >= 0"),
+            (thermal_defaults(t_steps=0), "t_steps must be >= 1 and theta"),
+            (thermal_defaults(theta_min=0.0), "t_steps must be >= 1 and theta"),
+            (thermal_defaults(theta_step=-0.1), "t_steps must be >= 1 and theta"),
+            (synthetic_defaults(k_hat=0), r"k_hat must be in \[1, 50\]"),
+            (synthetic_defaults(k_hat=51), r"k_hat must be in \[1, 50\]"),
+            (synthetic_defaults(eps_main=0.0), "eps_main, eps_perturb must be > 0"),
+            (synthetic_defaults(eps_perturb=-1e-3), "eps_main, eps_perturb must be > 0"),
+            (synthetic_defaults(n_points=0), "eps_main, eps_perturb must be > 0"),
+        ]
+        for cfg, message in bad:
+            with pytest.raises(ConfigError, match=f"^{message}"):
+                cfg.validate()
 
     @pytest.mark.parametrize(
         "field, value",

@@ -57,6 +57,8 @@ class TestSubspace:
     def test_rejects_non_orthonormal(self):
         with pytest.raises(ContractViolation):
             Subspace(np.ones((3, 2)))
+        with pytest.raises(ContractViolation, match="^basis has non-finite entries"):
+            Subspace(np.array([[1.0], [np.nan]]))
 
     def test_rejects_non_unit_columns(self):
         with pytest.raises(ContractViolation):
@@ -255,6 +257,8 @@ class TestSnapshotSet:
     def test_rejects_empty(self):
         with pytest.raises(ContractViolation):
             SnapshotSet(np.zeros((0, 3)))
+        with pytest.raises(ContractViolation, match="^snapshots contain non-finite entries"):
+            SnapshotSet(np.array([[1.0, 2.0], [np.inf, 0.0]]))
 
     def test_vectors_immutable(self):
         s = SnapshotSet(np.ones((1, 2)))
@@ -278,6 +282,8 @@ class TestSnapshotSet:
     def test_residual_norms_zero_subspace(self):
         s = SnapshotSet(np.array([[3.0, 4.0]]))
         assert_allclose(s.residual_norms(Subspace.zero(2)), [5.0])
+        with pytest.raises(ContractViolation, match="^subspace ambient dimension does not match"):
+            s.residual_norms(Subspace.zero(3))
 
 
 class TestPrefixWidths:

@@ -64,6 +64,9 @@ def test_point_keys_are_seed_sequence_philox_keys(seed):
     ]
     assert keys.dtype == np.uint64 and np.array_equal(keys, np.array(expected))
     assert np.array_equal(point_keys(seed, 7), keys[:7])
+    for count in (-1, 2**32):
+        with pytest.raises(ContractViolation, match=r"^count must be in \[0, 2\*\*32\)"):
+            point_keys(seed, count)
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1, 2**128 + 987654321])

@@ -24,6 +24,7 @@ from partialrom.geometry import (
     orthonormalize,
 )
 from partialrom import sampling
+from partialrom.greedy import StoppingRule, greedy
 from partialrom.rng import derived_rng
 from partialrom.sampling import (
     MIXTURE_SCALE,
@@ -31,6 +32,7 @@ from partialrom.sampling import (
     Observation,
     PiDistribution,
     build_slice,
+    d_box_limit,
     observe,
     observe_cloud,
     sample_posterior,
@@ -38,7 +40,8 @@ from partialrom.sampling import (
     sample_slice_multi,
     union_set_contains,
 )
-from partialrom.worlds import build_synthetic_world
+from partialrom.thermal import ThermalBlockModel
+from partialrom.worlds import build_synthetic_world, build_thermal_world, random_subspace
 
 
 class TestObserve:
@@ -727,9 +730,9 @@ class TestSamplePosterior:
     @pytest.mark.parametrize(
         "n_samples, d_box, seed",
         [(0, 1.0, 0), (3, -1.0, 0), (3, np.nan, 0), (3, np.inf, 0), (3, -np.inf, 0),
-         (3, 1.0, -1), (3, 1.0, 1.5), (2.5, 1.0, 0), (True, 1.0, 0)],
-        ids=["0-1.0", "3--1.0", "3-nan", "3-inf", "3--inf", "seed=-1", "seed=1.5", "2.5-1.0",
-             "True-1.0"],
+         (3, 1e154, 0), (3, 1.0, -1), (3, 1.0, 1.5), (2.5, 1.0, 0), (True, 1.0, 0)],
+        ids=["0-1.0", "3--1.0", "3-nan", "3-inf", "3--inf", "3-1e154", "seed=-1", "seed=1.5",
+             "2.5-1.0", "True-1.0"],
     )
     @pytest.mark.parametrize("tubes", [1, 2])
     def test_arguments_are_checked_before_any_slice(self, tubes, n_samples, d_box, seed):
@@ -764,6 +767,21 @@ class TestSamplePosterior:
                 "|^seed must be a non-neg",
             ):
                 call()
+
+    def test_largest_d_box_samples_and_reduces_without_overflow(self):
+        # A draw's squared norm reaches about n d_box^2 (n = 8 prior
+        # directions, 4 observed), so the sampler admits d_box up to
+        # d_box_limit(n); the next float and 1e154 are argument errors.
+        world = build_thermal_world(ThermalBlockModel(4), t_steps=3, relax_max=16, n_prior=8)
+        w = random_subspace(world.m_cloud.ambient_dim, 4, derived_rng(11))
+        prior = world.prior_manifold()
+        limit = d_box_limit(prior.factor(1).subspace.dim)
+        cloud = sample_posterior(world.m_cloud, w, prior, 2, d_box=limit, seed=5)
+        gr = greedy(cloud, StoppingRule(max_dim=10))
+        assert cloud.max_norm > limit and np.isfinite(gr.error_curve).all()
+        for d_box in (float(np.nextafter(limit, np.inf)), 1e154):
+            with pytest.raises(ContractViolation, match="^d_box must be >= 0 and at most"):
+                sample_posterior(world.m_cloud, w, prior, 2, d_box=d_box, seed=5)
 
     def test_multi_prior_dispatch(self, rng):
         w, v2 = random_subspace_pair(rng, 12, 6, 4)

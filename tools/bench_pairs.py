@@ -6,9 +6,12 @@ Pair k (k = 0 .. K-1) runs ``perfbench/run.py --workload W --seed FIRST+k
 --seconds S --trace 0`` (FIRST is ``--first-seed``, default 1) once in each
 checkout, from that checkout's root; the parent goes first in even pairs and
 the change in odd ones, so that a host whose speed drifts during the round
-weighs on both sides alike.  Each run's last stdout line is its JSON result.
-The script prints one CSV row per pair with its attempted and failed
-operations (parent/change each) and the change/parent ratio of every metric
+weighs on both sides alike.  Each run's last stdout line is its JSON result,
+and its ``RECORD`` line holds the SHA-256 of the ``curves.csv`` it wrote
+(``curves_sha256``).  The script prints one CSV row per pair with its
+attempted and failed operations (parent/change each), whether the two runs
+wrote the same ``curves.csv`` (``curves``: ``same``, ``differs``, or ``-``
+where a run reports no digest), and the change/parent ratio of every metric
 both runs report (untraced runs report the end-to-end metrics), then per
 metric the parent and change medians, the parent's interquartile range, the
 median and range of the pair ratios, how many pairs read below 1, and how many
@@ -37,7 +40,8 @@ from pathlib import Path
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The JSON result of one untraced benchmark run in ``checkout``."""
+    """The JSON result of one untraced benchmark run in ``checkout``, with the
+    ``curves_sha256`` of its ``RECORD`` line (``None`` without one)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -45,7 +49,10 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     try:
         if proc.returncode:
             raise ValueError(f"exit {proc.returncode}")
-        return json.loads(lines[-1])
+        result = json.loads(lines[-1])
+        records = [json.loads(line[7:]) for line in lines if line.startswith("RECORD ")]
+        result["curves_sha256"] = records[-1].get("curves_sha256") if records else None
+        return result
     except (ValueError, IndexError) as exc:
         raise RuntimeError(f"{checkout} seed {seed}: no JSON result ({exc})") from None
 
@@ -128,10 +135,13 @@ def main(argv: list[str]) -> int:
         pairs.append((runs["parent"], runs["change"]))
         pair = summarize(pairs[-1:])
         if k == 0:
-            print("pair,seed,first,attempted_ops,failed_ops," + ",".join(pair))
+            print("pair,seed,first,attempted_ops,failed_ops,curves," + ",".join(pair))
         ops = {key: f"{runs['parent'][key]}/{runs['change'][key]}" for key in ("attempted", "failed")}
+        digests = [runs[side]["curves_sha256"] for side in ("parent", "change")]
+        curves = "-" if not all(digests) else "same" if digests[0] == digests[1] else "differs"
         ratios = ",".join(f"{s['ratios'][0]:.3f}" for s in pair.values())
-        print(f"{k},{seed},{order[0]},{ops['attempted']},{ops['failed']},{ratios}", flush=True)
+        print(f"{k},{seed},{order[0]},{ops['attempted']},{ops['failed']},{curves},{ratios}",
+              flush=True)
 
     print("metric,parent_median,change_median,parent_iqr,median_ratio,min_ratio,max_ratio,"
           "pairs_below_1,pairs_better,claim,bound,beyond_bound")
