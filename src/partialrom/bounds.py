@@ -184,6 +184,10 @@ def certificate_widths(
     Entries below k* are inf.  Each branch's widths come from one
     (cancellation-free) :func:`prefix_widths` pass over its ordered basis.
     """
+    if cloud.ambient_dim != bases.ambient_dim:
+        raise ContractViolation("cloud ambient dimension does not match the bases")
+    if i_max < 0:
+        raise ContractViolation(f"i_max must be >= 0, got {i_max}")
     widths = np.full(i_max + 1, INF)
     for basis, prefixes in _certificates(t_subspace, bases, range(i_max + 1)):
         by_length = np.concatenate([[cloud.max_norm], prefix_widths(cloud.vectors, basis)])

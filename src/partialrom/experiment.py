@@ -337,6 +337,9 @@ def _thermal_world(
         n_prior=cfg.n,
         flux=cfg.flux,
     )
+    if cfg.n_factors > world.n_prior:
+        raise ConfigError(f"n_factors = {cfg.n_factors} exceeds n_prior = {world.n_prior}, "
+                          "the numerical rank of the relaxed cloud")
     gr = world.greedy_prior
     widths = np.array([world.relax_cloud.max_norm, *gr.error_curve[: world.n_prior]])
     v = gr.subspace(world.n_prior).basis

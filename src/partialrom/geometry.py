@@ -303,10 +303,6 @@ class SnapshotSet:
         v.setflags(write=False)
         object.__setattr__(self, "vectors", v)
 
-    @classmethod
-    def from_list(cls, snapshots) -> "SnapshotSet":
-        return cls(np.vstack([as_vector(h) for h in snapshots]))
-
     @property
     def ambient_dim(self) -> int:
         return self.vectors.shape[1]
@@ -316,11 +312,6 @@ class SnapshotSet:
 
     def __iter__(self):
         return iter(self.vectors)
-
-    def concat(self, other: "SnapshotSet") -> "SnapshotSet":
-        if other.ambient_dim != self.ambient_dim:
-            raise ContractViolation("snapshot sets live in different ambient dimensions")
-        return SnapshotSet(np.vstack([self.vectors, other.vectors]))
 
     @functools.cached_property
     def max_norm(self) -> float:

@@ -122,20 +122,10 @@ class PiDistribution:
             raise ContractViolation(f"unknown pi distribution kind: {self.kind!r}")
 
     @classmethod
-    def uniform_beta(cls) -> "PiDistribution":
-        return cls(kind="uniform-beta")
-
-    @classmethod
-    def mixture(cls) -> "PiDistribution":
-        return cls(kind="mixture")
-
-    @classmethod
     def from_name(cls, name: str) -> "PiDistribution":
         name = name.strip().lower()
-        if name in ("uniform", "uniform-beta"):
-            return cls.uniform_beta()
-        if name == "mixture":
-            return cls.mixture()
+        if name in ("uniform", "uniform-beta", "mixture"):
+            return cls("uniform-beta" if name == "uniform" else name)
         raise ContractViolation(f"unknown pi distribution name: {name!r}")
 
     def from_norms(self, head: np.ndarray, tail: np.ndarray, coin: np.ndarray) -> np.ndarray:
@@ -301,10 +291,6 @@ class MultiSliceResult:
     n_accepted: int
     complete: bool
 
-    @property
-    def acceptance_ratio(self) -> float:
-        return self.n_accepted / self.n_draws if self.n_draws else 0.0
-
 
 def _draw_limit(n_samples: int, max_draws: int | None) -> int:
     """The draw budget for ``n_samples`` accepted samples (default ``100 * n_samples``)."""
@@ -404,7 +390,7 @@ def _rejection_sample(
         raise ContractViolation(
             f"d_box must be >= 0 and at most d_box_limit({bases.n}) = {limit:.6g}, got {d_box}"
         )
-    pi_dist = pi_dist or PiDistribution.uniform_beta()
+    pi_dist = pi_dist or PiDistribution()
     ref = prior.factor(j_star)
     others = [e for i, e in enumerate(prior.ellipsoids) if i != j_star - 1]
     inside = _within_tubes(others)

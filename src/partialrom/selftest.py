@@ -57,7 +57,7 @@ def _check_sampler(seed: int) -> bool:
     sl = build_slice(obs, prior, bases)
     if sl.is_empty:
         return False
-    samples = sample_slice(sl, 200, PiDistribution.uniform_beta(), rng=derived_rng(seed, 3))
+    samples = sample_slice(sl, 200, PiDistribution(), rng=derived_rng(seed, 3))
     obs_err = np.abs(samples.vectors @ w.basis - obs.values).max()
     dist_err = samples.residual_norms(v).max() - prior.width
     return obs_err <= 1e-8 and dist_err <= 1e-8

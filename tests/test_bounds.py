@@ -315,6 +315,12 @@ def test_nested_certificates_match_per_i_construction(name):
         assert np.abs(_projector(sub) - _projector(ref)).max() <= 1e-10
         width = empirical_width(cloud, sub)
         assert abs(widths[i] - width) <= 1e-12 * max(1.0, width)
+    for bad in (-1, -2):
+        with pytest.raises(ContractViolation, match="^i_max must be >= 0"):
+            certificate_widths(cloud, t, sb, bad)
+    other = SnapshotSet(rng.standard_normal((3, sb.ambient_dim + 1)))
+    with pytest.raises(ContractViolation, match="^cloud ambient dimension"):
+        certificate_widths(other, t, sb, i_max)
 
 
 def test_proof_subspace_rejects_t_outside_v(rng):

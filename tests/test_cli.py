@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from partialrom import selftest
 from partialrom.cli import main
 from partialrom.rng import derived_seed
 from partialrom.sampling import PiDistribution, sample_posterior
@@ -43,6 +44,21 @@ class TestSelftest:
             "width-bounds", "thermal-solver", "synthetic-world",
         ):
             assert f"PASS {name}" in out
+
+    def test_failing_and_crashing_checks_are_reported(self, capsys, monkeypatch):
+        def crash(seed):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(selftest, "CHECKS", [
+            ("passes", lambda seed: True),
+            ("crashes", crash),
+            ("fails", lambda seed: False),
+        ])
+        assert selftest.run_selftest() == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS passes", "FAIL crashes: RuntimeError: boom", "FAIL fails",
+        ]
+        assert main(["selftest"]) == 3
 
 
 class TestBounds:
@@ -254,19 +270,23 @@ class TestRunCommands:
         assert not (tmp_path / "bad" / "curves.csv").exists()
 
     @pytest.mark.parametrize(
-        "flag, value, message",
+        "flags, message",
         [
-            ("--flux", "0", "flux must be nonzero"),
-            ("--theta-step", "1e308", "the theta grid's top value"),
-            ("--d-box", "1e154", "d_box = 1e+154 exceeds sqrt(float max / (4 n))"),
+            (["--flux", "0"], "flux must be nonzero"),
+            (["--theta-step", "1e308"], "the theta grid's top value"),
+            (["--d-box", "1e154"], "d_box = 1e+154 exceeds sqrt(float max / (4 n))"),
+            (["--n", "20", "--n-factors", "20"],
+             "n_factors = 20 exceeds n_prior = 10, the numerical rank of the relaxed cloud"),
         ],
-        ids=["zero-flux", "theta-grid-overflow", "d-box-overflow"],
+        ids=["zero-flux", "theta-grid-overflow", "d-box-overflow", "n-factors-above-rank"],
     )
-    def test_degenerate_setup1_value_exits_config(self, tmp_path, capsys, flag, value, message):
-        # A zero load makes every state zero; the others overflow the theta
-        # grid or the squared norms of the posterior draws.
+    def test_degenerate_setup1_value_exits_config(self, tmp_path, capsys, flags, message):
+        # A zero load makes every state zero; the next two overflow the theta
+        # grid or the squared norms of the posterior draws.  The relaxed cloud
+        # has numerical rank 10, so the prior greedy stops below n = 20 and
+        # cannot supply 20 nested factors.
         out = tmp_path / "run"
-        assert main(tiny_setup1_args(out) + [flag, value]) == 2
+        assert main(tiny_setup1_args(out) + flags) == 2
         assert message in capsys.readouterr().err
         assert not (out / "curves.csv").exists()
 

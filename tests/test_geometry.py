@@ -250,10 +250,6 @@ class TestSnapshotSet:
         assert s.ambient_dim == 3
         assert_allclose(list(s)[1], [3.0, 4.0, 5.0])
 
-    def test_from_list(self):
-        s = SnapshotSet.from_list([[1.0, 2.0], [3.0, 4.0]])
-        assert len(s) == 2
-
     def test_rejects_empty(self):
         with pytest.raises(ContractViolation):
             SnapshotSet(np.zeros((0, 3)))
@@ -264,13 +260,6 @@ class TestSnapshotSet:
         s = SnapshotSet(np.ones((1, 2)))
         with pytest.raises(ValueError):
             s.vectors[0, 0] = 5.0
-
-    def test_concat(self):
-        a = SnapshotSet(np.ones((2, 3)))
-        b = SnapshotSet(np.zeros((1, 3)))
-        assert len(a.concat(b)) == 3
-        with pytest.raises(ContractViolation):
-            a.concat(SnapshotSet(np.zeros((1, 4))))
 
     def test_residual_norms_matches_loop(self, rng):
         vecs = rng.standard_normal((9, 11))

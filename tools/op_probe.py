@@ -5,14 +5,14 @@
 A ``perfbench`` run reads ``peak_rss_mb`` at the end of a fixed-length run,
 so it grows with the operations the run completes, and a faster change does
 more of them.  This probe holds the work fixed instead.  Each process is a
-fresh interpreter started in one checkout's root, with every BLAS thread
-variable ``perfbench/run.py`` knows set to 1.  It imports the package from
-that checkout's ``src/`` and runs K operations as an untraced ``perfbench``
-run does: one ``run_experiment`` and one ``write`` on the config of
-``perfbench/workloads.py`` (``--size full`` or ``tiny``).  Operation k uses
-seed FIRST + k (``--first-seed``, default 1), so every process does the same
-work.  P pairs of processes run (``--procs``); the parent goes first in even
-pairs and the change in odd ones.
+fresh interpreter started in one checkout's root.  It sets every BLAS thread
+variable of that checkout's ``perfbench/run.py`` (``THREAD_ENV``) to 1,
+imports the package from that checkout's ``src/`` and runs K operations as an
+untraced ``perfbench`` run does: one ``run_experiment`` and one ``write`` on
+the config of ``perfbench/workloads.py`` (``--size full`` or ``tiny``).
+Operation k uses seed FIRST + k (``--first-seed``, default 1), so every
+process does the same work.  P pairs of processes run (``--procs``); the
+parent goes first in even pairs and the change in odd ones.
 
 One CSV row per process gives its ``ru_maxrss`` in MB, its median operation
 time in ms, the median and largest count of minor page faults of one
@@ -31,25 +31,21 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
-#: Thread-count variables of the BLAS builds numpy may use (as in perfbench/run.py).
-THREAD_ENV = (
-    "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS",
-)
 #: Operations whose faults are left out of a process's fault columns.
 WARM_OPS = 2
 COLUMNS = ("maxrss_mb", "op_ms", "faults_med", "faults_max", "traced_peak_mb")
 
 _CHILD = """
-import json, resource, sys, tempfile, time, tracemalloc
+import json, os, resource, sys, tempfile, time, tracemalloc
 from pathlib import Path
 sys.path[:0] = ["src", "perfbench"]
+from run import THREAD_ENV
+os.environ.update(dict.fromkeys(THREAD_ENV, "1"))  # before numpy is imported
 import partialrom
 if Path(partialrom.__file__).resolve().parent != Path("src", "partialrom").resolve():
     sys.exit(f"imported partialrom from {partialrom.__file__}, not from ./src")
@@ -78,9 +74,8 @@ print(json.dumps({"maxrss_mb": maxrss_mb, "op_ms": op_ms, "faults": faults,
 
 def run_process(checkout: Path, workload: str, size: str, first_seed: int, ops: int) -> dict:
     """The JSON result of one fresh process running ``ops`` operations in ``checkout``."""
-    env = dict(os.environ, **{name: "1" for name in THREAD_ENV})
     cmd = [sys.executable, "-c", _CHILD, workload, size, str(first_seed), str(ops)]
-    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
         if proc.returncode:
