@@ -186,20 +186,14 @@ def compute_suitable_bases(v_subspace: Subspace, w_subspace: Subspace) -> Suitab
     )
 
 
+@dataclass(frozen=True)
 class DecomposedVector:
     """Coefficients of a vector on the four-block orthonormal basis."""
 
-    def __init__(
-        self,
-        w_star_coeffs: np.ndarray,
-        interaction_coeffs: np.ndarray,
-        tail_coeffs: np.ndarray,
-        residual_coeffs: np.ndarray,
-    ):
-        self.w_star_coeffs = w_star_coeffs          # on w*_{1..m}
-        self.interaction_coeffs = interaction_coeffs  # on wt_{p+1..q}
-        self.tail_coeffs = tail_coeffs              # on v*_{q+1..n}
-        self.residual_coeffs = residual_coeffs      # on u_{1..r}
+    w_star_coeffs: np.ndarray       # on w*_{1..m}
+    interaction_coeffs: np.ndarray  # on wt_{p+1..q}
+    tail_coeffs: np.ndarray         # on v*_{q+1..n}
+    residual_coeffs: np.ndarray     # on u_{1..r}
 
     def reconstruct(self, bases: SuitableBases) -> np.ndarray:
         return (

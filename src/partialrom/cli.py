@@ -80,8 +80,22 @@ def _resolve_config(args: argparse.Namespace, setup: int) -> RunConfig:
     return RunConfig.from_dict({**base, **overrides, "setup": setup})
 
 
+def _prepare_out(path: str, directory: bool) -> Path:
+    """Create the ``--out`` directory (for a file, its parent) before any world is built."""
+    out = Path(path)
+    try:
+        (out if directory else out.parent).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    if not directory and out.is_dir():
+        raise ConfigError(f"cannot write {path}: it is a directory")
+    return out
+
+
 def _cmd_run(args: argparse.Namespace, setup: int) -> int:
     cfg = _resolve_config(args, setup)
+    cfg.validate()
+    _prepare_out(args.out, directory=True)
     result = run_experiment(cfg)
     csv_path, manifest_path = result.write(args.out)
     print(f"wrote {csv_path} ({len(result.records)} records) and {manifest_path}")
@@ -128,6 +142,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     _check_seed(args.seed)
     check_dimensions(args.k, args.n, args.m)  # before _parse_sigma sizes sigma by min(m, n)
     sigma = _parse_sigma(args)
+    out = _prepare_out(args.out, directory=True) if args.out else None
     p, q = principal_counts(sigma)
     curve = posterior_width_bounds(
         k=args.k,
@@ -145,9 +160,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     for i, (a, b, c) in enumerate(zip(curve.d_bar, curve.d_bbar, curve.combined)):
         lines.append(f"{i},{format_extended(a)},{format_extended(b)},{format_extended(c)}")
     text = "\n".join(lines) + "\n"
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out:
         (out / "bounds.csv").write_text(text)
         manifest = {
             "command": "bounds",
@@ -179,6 +192,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     dataclasses.replace(cfg, i_max=1).validate()
     if args.multi and cfg.n_factors < 2:
         raise ConfigError(f"--multi needs --n-factors >= 2, got {cfg.n_factors}")
+    out = _prepare_out(args.out, directory=False)
     bundle = _build_bundle(cfg)
     cloud = bundle.m_cloud
     if args.max_points and len(cloud) > args.max_points:
@@ -186,8 +200,6 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         bundle = dataclasses.replace(bundle, m_cloud=SnapshotSet(cloud.vectors[np.unique(idx)]))
     prior = bundle.prior_multi if args.multi else bundle.prior_single
     samples = posterior_cloud(cfg, bundle, prior, derived_seed(cfg.seed, 41))
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     header = "sample," + ",".join(f"c{j}" for j in range(samples.ambient_dim))
     lines = [header]
     for i, row in enumerate(samples):

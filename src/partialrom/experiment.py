@@ -41,7 +41,7 @@ from .estimate import estimate_manifold
 from .geometry import PriorManifold, SnapshotSet, Subspace, prefix_widths
 from .greedy import GreedyResult, StoppingRule, greedy
 from .rng import derived_rng, derived_seed
-from .sampling import PiDistribution, d_box_limit, sample_posterior
+from .sampling import MAX_DRAWS, PiDistribution, d_box_limit, sample_posterior
 from .thermal import ThermalBlockModel
 from .worlds import (
     build_synthetic_world,
@@ -110,6 +110,8 @@ class RunConfig:
                 f"d_box = {self.d_box} exceeds sqrt(float max / (4 n)) = {d_box_max:.6g}:"
                 " the squared norms of posterior draws would overflow"
             )
+        if (budget := self.max_draw_factor * self.per_point) > MAX_DRAWS:
+            raise ConfigError(f"max_draw_factor * per_point = {budget} exceeds 2**63 - 1 draws")
         if self.n_factors > self.n:
             raise ConfigError(f"n_factors = {self.n_factors} exceeds n = {self.n}")
         if self.j_star and not 1 <= self.j_star <= self.n_factors:

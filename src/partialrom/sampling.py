@@ -72,6 +72,9 @@ MIXTURE_SCALE = 1e4
 #: Manifold points the rejection loop handles at once; bounds its temporaries.
 _BLOCK_POINTS = 32
 
+#: The largest draw budget per point, the most the int64 draw counters hold.
+MAX_DRAWS = 2**63 - 1
+
 
 @dataclass(frozen=True)
 class Observation:
@@ -300,10 +303,11 @@ def _draw_limit(n_samples: int, max_draws: int | None) -> int:
             raise ContractViolation(f"{name} must be an integer, got {value!r}")
     if n_samples < 1:
         raise ContractViolation(f"n_samples must be >= 1, got {n_samples}")
-    if max_draws is None:
-        return 100 * n_samples
+    max_draws = 100 * int(n_samples) if max_draws is None else max_draws
     if max_draws < n_samples:
         raise ContractViolation(f"max_draws = {max_draws} is below n_samples = {n_samples}")
+    if max_draws > MAX_DRAWS:
+        raise ContractViolation(f"max_draws = {max_draws} exceeds MAX_DRAWS = 2**63 - 1")
     return max_draws
 
 

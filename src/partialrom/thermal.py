@@ -26,8 +26,8 @@ part alone, so with ``K_q``, ``B_q``, ``C_q`` the interior, interior-Gamma
 and Gamma blocks of part q the interface operator is affine in theta,
 ``S(theta) = sum_q theta_q S_q`` with ``S_q = C_q - B_q^T K_q^{-1} B_q``, and
 the interior values follow from the interface values by fixed linear maps.
-This set-up is derived once per model from ``stiffness_bands``; a state then
-costs one small SPD solve and one product, batched over rows of theta.
+This set-up is derived once, at construction; a state then costs one small
+SPD solve and one product, batched over rows of theta.
 ``stiffness_band`` combines the full bands and stays the independent
 reference.
 
@@ -40,7 +40,6 @@ the plain dot product used by every other module.
 from __future__ import annotations
 
 import numbers
-from typing import NamedTuple
 
 import numpy as np
 
@@ -94,30 +93,50 @@ def _band_block(ab: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarra
     return np.where(inside, ab[np.where(inside, b - offset, 0), np.maximum(r, c)], 0.0)
 
 
-class _Condensation(NamedTuple):
-    """The stiffness condensed onto the interface Gamma (g nodes).
+def _condense(bands: np.ndarray, flux: np.ndarray, mass_factors) -> tuple:
+    """The stiffness parts ``bands`` (4, b + 1, N) condensed onto the interface
+    Gamma (g nodes), as ``(schur, loads, images)``.
 
-    ``schur[q]`` is ``S_q``; ``loads`` holds ``flux_left`` and ``flux_right``
-    condensed onto Gamma.  A state with interface values u and load
+    ``schur[q]`` (g, g) is ``S_q``; ``loads`` (2, g) holds the two rows of
+    ``flux`` condensed onto Gamma.  A state with interface values u and load
     coefficients a = flux (1/theta_3, 1/theta_4) is ``[u, a_j / theta_q] @
-    images``: row k < g of ``images`` is the ambient image of the interface
-    extension of node k (1 at the node, ``-K_q^{-1} B_q`` inside each
-    quadrant), and row g + 2 q + j that of ``K_q^{-1}`` applied to load j
-    on quadrant q's interior.
+    images``: row k < g of ``images`` (g + 8, N) is the ambient image of the
+    interface extension of node k (1 at the node, ``-K_q^{-1} B_q`` inside each
+    quadrant), and row g + 2 q + j that of ``K_q^{-1}`` applied to load j on
+    quadrant q's interior.  Raises ``np.linalg.LinAlgError`` unless every
+    ``K_q`` is SPD.
     """
-
-    bands: tuple
-    schur: np.ndarray   # (4, g, g)
-    loads: np.ndarray   # (2, g)
-    images: np.ndarray  # (g + 8, N)
+    u_y, u_x = mass_factors
+    half, n = len(u_y) // 2, bands.shape[-1]
+    iy, ix = np.divmod(np.arange(n), len(u_x))
+    on_gamma = (ix == half) | (iy == half)
+    gamma = np.flatnonzero(on_gamma)
+    g = gamma.size
+    quad = np.where(iy > half, np.where(ix < half, 0, 1), np.where(ix < half, 2, 3))
+    schur = np.empty((4, g, g))
+    loads = flux[:, gamma]
+    extension = np.zeros((n, g + 8))
+    extension[gamma, np.arange(g)] = 1.0
+    for q, ab in enumerate(bands):
+        inner = np.flatnonzero(~on_gamma & (quad == q))
+        coupling = _band_block(ab, inner, gamma)
+        interior = _band_block(ab, inner, inner)
+        np.linalg.cholesky(interior)  # LinAlgError unless K_q is SPD
+        x = np.linalg.solve(interior, np.hstack([coupling, flux[:, inner].T]))
+        schur[q] = _band_block(ab, gamma, gamma) - coupling.T @ x[:, :g]
+        loads = loads - x[:, g:].T @ coupling
+        extension[inner, :g] = -x[:, :g]
+        extension[inner, g + 2 * q : g + 2 * q + 2] = x[:, g:]
+    images = (u_y @ extension.T.reshape(g + 8, len(u_y), -1) @ u_x.T).reshape(g + 8, n)
+    return schur, loads, images
 
 
 class ThermalBlockModel:
     """Discretized thermal block; no dense (N, N) array is held.
 
-    ``stiffness_bands`` holds the four quadrant stiffness parts in LAPACK
-    upper band form at half-bandwidth ``bandwidth``, and ``mass_factors`` the
-    1-D upper Cholesky factors ``(U_y, U_x)``, (cells, cells) and
+    ``stiffness_bands`` holds the four quadrant stiffness parts, one
+    (4, bandwidth + 1, N) array in LAPACK upper band form, and ``mass_factors``
+    the 1-D upper Cholesky factors ``(U_y, U_x)``, (cells, cells) and
     (cells + 1, cells + 1), of the mass ``M = U^T U`` with ``U = U_y (x) U_x``.
     """
 
@@ -151,9 +170,8 @@ class ThermalBlockModel:
         up = (cols < n_free) & (cols >= rows)
         part = np.broadcast_to(quad[:, None], up.shape)
         local = np.broadcast_to(_K_LOCAL.reshape(1, 16), up.shape)
-        bands = np.zeros((4, b + 1, n_free))
+        self.stiffness_bands = bands = np.zeros((4, b + 1, n_free))
         np.add.at(bands, (part[up], (b - cols + rows)[up], cols[up]), local[up])
-        self.stiffness_bands = tuple(bands)
 
         # The 1-D P1 mass, (h/6) [2 1; 1 2] per segment, on the x nodes; the
         # y factor drops the Dirichlet top node.
@@ -168,7 +186,7 @@ class ThermalBlockModel:
         edge = np.stack([cx[:cells], cx[:cells] + 1], axis=1)
         np.add.at(flux, (np.where(left[:cells], 0, 1)[:, None], edge), 0.5 * h)
         self.flux_left, self.flux_right = flux
-        self._condensed: _Condensation | None = None
+        self._schur, self._loads, self._images = _condense(bands, flux, self.mass_factors)
 
     @property
     def ambient_dim(self) -> int:
@@ -176,7 +194,7 @@ class ThermalBlockModel:
 
     def stiffness_band(self, theta) -> np.ndarray:
         """``A(theta)`` in LAPACK upper band form, ``ab[b - k, k:] = diag(A, k)``."""
-        parts = np.asarray(self.stiffness_bands)
+        parts = self.stiffness_bands
         return np.matmul(_check_theta(theta), parts.reshape(4, -1)).reshape(parts.shape[1:])
 
     def to_ambient(self, nodal) -> np.ndarray:
@@ -205,46 +223,15 @@ class ThermalBlockModel:
         if not np.isfinite(flux):
             raise ContractViolation(f"flux must be finite, got {flux}")
         rows = np.atleast_2d(t)
-        cond = self._condensation()
-        g = cond.schur.shape[1]
+        g = self._schur.shape[1]
         out = np.empty((len(rows), self.ambient_dim))
         for start in range(0, len(rows), _BLOCK_ROWS):
             block = rows[start : start + _BLOCK_ROWS]
-            schur = np.matmul(block[:, None, :], cond.schur.reshape(4, -1)).reshape(-1, g, g)
+            schur = np.matmul(block[:, None, :], self._schur.reshape(4, -1)).reshape(-1, g, g)
             np.linalg.cholesky(schur)  # LinAlgError unless every S(theta) is SPD
             a = flux / block[:, 2:]
-            rhs = a[:, :1] * cond.loads[0] + a[:, 1:] * cond.loads[1]
+            rhs = a[:, :1] * self._loads[0] + a[:, 1:] * self._loads[1]
             interface = np.linalg.solve(schur, rhs[:, :, None])[:, :, 0]
             coeffs = np.hstack([interface, (a[:, None, :] / block[:, :, None]).reshape(-1, 8)])
-            out[start : start + len(block)] = np.matmul(coeffs[:, None, :], cond.images)[:, 0]
+            out[start : start + len(block)] = np.matmul(coeffs[:, None, :], self._images)[:, 0]
         return out if t.ndim == 2 else out[0]
-
-    def _condensation(self) -> _Condensation:
-        """The interface condensation of the current ``stiffness_bands``, built on first use."""
-        if self._condensed is not None and self._condensed.bands is self.stiffness_bands:
-            return self._condensed
-        half, n = self.cells // 2, self.ambient_dim
-        iy, ix = np.divmod(np.arange(n), self.cells + 1)
-        on_gamma = (ix == half) | (iy == half)
-        gamma = np.flatnonzero(on_gamma)
-        g = gamma.size
-        quad = np.where(iy > half, np.where(ix < half, 0, 1), np.where(ix < half, 2, 3))
-        flux = np.stack([self.flux_left, self.flux_right])
-        schur = np.empty((4, g, g))
-        loads = flux[:, gamma]
-        extension = np.zeros((n, g + 8))
-        extension[gamma, np.arange(g)] = 1.0
-        for q, ab in enumerate(self.stiffness_bands):
-            inner = np.flatnonzero(~on_gamma & (quad == q))
-            coupling = _band_block(ab, inner, gamma)
-            interior = _band_block(ab, inner, inner)
-            np.linalg.cholesky(interior)  # LinAlgError unless K_q is SPD
-            x = np.linalg.solve(interior, np.hstack([coupling, flux[:, inner].T]))
-            schur[q] = _band_block(ab, gamma, gamma) - coupling.T @ x[:, :g]
-            loads = loads - x[:, g:].T @ coupling
-            extension[inner, :g] = -x[:, :g]
-            extension[inner, g + 2 * q : g + 2 * q + 2] = x[:, g:]
-        u_y, u_x = self.mass_factors
-        images = (u_y @ extension.T.reshape(g + 8, self.cells, -1) @ u_x.T).reshape(g + 8, n)
-        self._condensed = _Condensation(self.stiffness_bands, schur, loads, images)
-        return self._condensed

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from partialrom import selftest
+from partialrom import cli, selftest
 from partialrom.cli import main
 from partialrom.rng import derived_seed
 from partialrom.sampling import PiDistribution, sample_posterior
@@ -376,6 +376,13 @@ class TestRunCommands:
         assert main(["setup2", "--out", str(tmp_path / "x"), option, str(path)]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_draw_budget_beyond_int64_exits_config(self, tmp_path, capsys):
+        # 10**19 draws per point overflow the sampler's int64 draw counters.
+        out = tmp_path / "run"
+        assert main(tiny_setup2_args(out) + ["--max-draw-factor", str(10**19)]) == 2
+        assert "max_draw_factor * per_point" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_starved_multi_prior_exits_3(self, tmp_path, capsys):
         args = [
             "setup2", "--out", str(tmp_path / "x"),
@@ -511,3 +518,30 @@ def test_negative_seed_exits_2(tmp_path, capsys, command):
     }[command]
     assert main(args) == 2
     assert "seed must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["setup2", "bounds", "sample", "sample-to-directory"])
+def test_unusable_out_exits_2_before_any_world(tmp_path, capsys, monkeypatch, command):
+    # --out names an existing file where a directory must go, or, for sample,
+    # an existing directory where the CSV must go.
+    def never(*args):
+        raise AssertionError("a world was built for an unusable --out")
+
+    monkeypatch.setattr(cli, "run_experiment", never)
+    monkeypatch.setattr(cli, "_build_bundle", never)
+    existing = tmp_path / "existing"
+    existing.write_text("kept\n")
+    sample = [
+        "sample", "--setup", "2", "--ambient", "24", "--n-max", "10", "--k-hat", "2",
+        "--m", "6", "--n", "6", "--n-points", "5", "--per-point", "3", "--out",
+    ]
+    out, args = {
+        "setup2": (existing, tiny_setup2_args(existing)),
+        "bounds": (existing, TestBounds.BASE + ["--out", str(existing)]),
+        "sample": (existing / "x.csv", sample + [str(existing / "x.csv")]),
+        "sample-to-directory": (tmp_path, sample + [str(tmp_path)]),
+    }[command]
+    assert main(args) == 2
+    assert f"configuration error: cannot write {out}: " in capsys.readouterr().err
+    assert existing.read_text() == "kept\n"
+    assert sorted(tmp_path.iterdir()) == [existing]

@@ -108,6 +108,8 @@ class TestRunConfig:
             synthetic_defaults(n=4, k_hat=5).validate()
         with pytest.raises(ConfigError):
             synthetic_defaults(k_intrinsic=30).validate()
+        with pytest.raises(ConfigError, match="max_draw_factor"):
+            synthetic_defaults(max_draw_factor=2**62).validate()
         bad = [
             (synthetic_defaults(k_intrinsic=-1), "k_intrinsic and jobs must be >= 0"),
             (thermal_defaults(jobs=-1), "k_intrinsic and jobs must be >= 0"),

@@ -462,15 +462,18 @@ class TestSampleSliceMulti:
         assert res.n_accepted == 3
 
     def test_draw_budget_below_sample_count_is_rejected(self, rng):
-        # A budget that cannot cover n_samples is an argument error, reported
-        # before any draw (not a warning followed by an empty-slice error).
+        # A budget that cannot cover n_samples, or that the int64 draw counters
+        # cannot hold, is an argument error, reported before any draw (not a
+        # warning followed by an empty-slice error, nor an OverflowError).
         w, prior, obs = self.make_nested(rng)
         sb = _ref_bases(prior, 2, w)
         with warnings.catch_warnings():
             warnings.simplefilter("error", PartialSampleWarning)
-            for max_draws in (0, 9):
+            for max_draws in (0, 9, 2**63, 2**64):
                 with pytest.raises(ContractViolation, match="max_draws"):
                     sample_slice_multi(obs, prior, 2, 10, max_draws=max_draws, bases=sb)
+            with pytest.raises(ContractViolation, match="max_draws"):  # the default 100 n_samples
+                sample_slice_multi(obs, prior, 2, np.int64(2**62), bases=sb)
         assert sample_slice_multi(obs, prior, 2, 10, max_draws=10, rng=1, bases=sb).n_draws == 10
 
 

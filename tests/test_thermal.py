@@ -253,9 +253,9 @@ class TestAssembly:
 
     def test_lapack_failures_raise_linalg_error(self):
         model = ThermalBlockModel(2)
-        model.stiffness_bands = tuple(-part for part in model.stiffness_bands)
+        flux = np.stack([model.flux_left, model.flux_right])
         with pytest.raises(np.linalg.LinAlgError):
-            model.solve((1.0, 1.0, 1.0, 1.0), flux=1.0)
+            thermal._condense(-model.stiffness_bands, flux, model.mass_factors)
         model.mass_factors[1][0, 0] = 0.0
         with pytest.raises(np.linalg.LinAlgError):
             model.from_ambient(np.ones(model.ambient_dim))
@@ -406,7 +406,6 @@ class TestBatchedSolve:
         thetas[row, 1 + row % 3] = bad
         with pytest.raises(ContractViolation, match=f"row {row}"):
             model.solve(thetas, flux=1.0)
-        assert model._condensed is None  # nothing was set up or solved
 
     @pytest.mark.parametrize(
         "thetas",
@@ -417,28 +416,51 @@ class TestBatchedSolve:
         model = ThermalBlockModel(2)
         with pytest.raises(ContractViolation, match="theta"):
             model.solve(thetas, flux=1.0)
-        assert model._condensed is None
 
     @pytest.mark.parametrize("flux", [np.nan, np.inf])
     def test_non_finite_flux_rejected_for_a_batch(self, flux):
         model = ThermalBlockModel(2)
         with pytest.raises(ContractViolation, match="flux"):
             model.solve(np.ones((3, 4)), flux=flux)
-        assert model._condensed is None
 
     def test_non_spd_interface_operator_raises_linalg_error(self):
         # Interior blocks stay SPD, but a negative interface diagonal makes
         # S(theta) indefinite for every theta: the per-row check must see it.
         model = ThermalBlockModel(4)
-        model.solve(np.ones(4), flux=1.0)
-        bands = tuple(part.copy() for part in model.stiffness_bands)
+        bands = model.stiffness_bands.copy()
         iy, ix = np.divmod(np.arange(model.ambient_dim), 5)
         gamma = (ix == 2) | (iy == 2)
-        for part in bands:
-            part[model.bandwidth, gamma] -= 10.0
-        model.stiffness_bands = bands
+        bands[:, model.bandwidth, gamma] -= 10.0
+        flux = np.stack([model.flux_left, model.flux_right])
+        model._schur, model._loads, model._images = thermal._condense(
+            bands, flux, model.mass_factors
+        )
         with pytest.raises(np.linalg.LinAlgError):
             model.solve(np.ones((3, 4)), flux=1.0)
+
+    def test_condensation_runs_once_per_model_and_is_pure(self, monkeypatch):
+        calls, condense = [], thermal._condense
+
+        def counted(*args):
+            calls.append(args)
+            return condense(*args)
+
+        monkeypatch.setattr(thermal, "_condense", counted)
+        model = ThermalBlockModel(4)
+        thetas = _log_uniform_thetas(np.random.default_rng(3), 5)
+        first = model.solve(thetas, flux=1.0)
+        model.solve(thetas[2], flux=1.0)
+        assert np.array_equal(model.solve(thetas, flux=1.0), first)
+        assert len(calls) == 1
+
+        bands, flux, (u_y, u_x) = calls[0]
+        inputs = (bands, flux, u_y, u_x)
+        before = [a.copy() for a in inputs]
+        again = condense(bands, flux, (u_y, u_x))
+        for out, held in zip(again, (model._schur, model._loads, model._images)):
+            assert out.tobytes() == held.tobytes()
+        for a, copy in zip(inputs, before):
+            assert a.tobytes() == copy.tobytes()
 
 
 def test_package_import_loads_no_scipy():
